@@ -690,7 +690,6 @@ class ScheduleRewritePass(Pass):
 
     def run(self, ctx: CompileContext) -> None:
         from repro.schedule import apply_rewrite, extract_timeline
-        from repro.schedule.passes import bubble_occupancy
 
         dec = ctx.require(ctx.decomposition, "a decomposition")
         dma_specs = ctx.require(ctx.dma_specs, "DMA specs")
@@ -701,11 +700,6 @@ class ScheduleRewritePass(Pass):
             ctx.decide(
                 f"{self.rewrite}: applied — candidate replayed on the "
                 "schedule machine and SPM slack re-checked"
-            )
-            bubble = bubble_occupancy(dec, outcome.cpe_program, ctx.arch)
-            ctx.info(
-                f"bubble occupancy after {self.rewrite}: {bubble:.2%} "
-                "(one chunk, K=2·k_step)"
             )
         else:
             ctx.info(f"{self.rewrite}: not applied — {outcome.reason}")

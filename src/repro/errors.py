@@ -166,6 +166,20 @@ class ExecutionError(SwGemmError):
     """Raised by the AST interpreter while running a compiled program."""
 
 
+class UnknownStatementError(ExecutionError):
+    """Raised when the CPE interpreter meets a statement type (or a
+    ``CommStmt`` kind) it has no semantics for."""
+
+    def __init__(self, statement: str, kind: str = "") -> None:
+        if kind:
+            message = f"unknown communication statement {kind!r}"
+        else:
+            message = f"cannot interpret statement {statement}"
+        super().__init__(message)
+        self.statement = statement
+        self.kind = kind
+
+
 class CertificateDivergenceError(HardwareError):
     """Raised in guarded execution when an observed DMA/RMA/SPM event
     diverges from the static safety certificate the verifier issued."""

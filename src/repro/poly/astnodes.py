@@ -18,9 +18,9 @@ schedule arithmetic exact end to end.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import ExecutionError
+from repro.errors import ExecutionError, NonAffineError
 from repro.poly.affine import AffExpr
 
 # ---------------------------------------------------------------------------
@@ -69,6 +69,15 @@ class AffRef(Expr):
     aff: AffExpr
 
     def evaluate(self, env: Mapping[str, object]) -> int:
+        # Only integer bindings are visible to an affine expression.  Any
+        # other value it reads (the float alpha, say) makes the sum a
+        # non-int, and the filtered re-evaluation then reports it unbound.
+        try:
+            value = self.aff.evaluate(env)
+        except (TypeError, NonAffineError):
+            value = None
+        if type(value) is int:
+            return value
         return self.aff.evaluate({k: v for k, v in env.items() if isinstance(v, int)})
 
 
@@ -201,15 +210,6 @@ class IfStmt(Stmt):
     cond: Expr
     then: Block
     els: Optional[Block] = None
-
-
-@dataclass
-class AssignStmt(Stmt):
-    """``target op value`` with op in ``=``, ``+=``, ``*=``."""
-
-    target: Union[ArrayRef, VarRef]
-    value: Expr
-    op: str = "="
 
 
 @dataclass

@@ -1,15 +1,17 @@
-"""AST interpreter over the simulated core group.
+"""The simulated core group as a backend of the CPE interpreter.
 
 Each CPE executes the *same* generated program (SPMD) with its own
 ``Rid``/``Cid`` bindings, exactly as the athread slave function would.
-The interpreter runs the 64 programs as cooperatively scheduled
-coroutines: a CPE blocks (yields) when it spins on a reply counter whose
-transfer has not completed or when it arrives at the mesh barrier, so
-cross-CPE interactions — a receiver waiting for a broadcast its sender
-has not issued yet — behave exactly like the hardware's spin loops.  A
-scheduling round in which no CPE makes progress is reported as a
-deadlock with each CPE's blocking reason, which turns schedule bugs into
-actionable failures instead of hangs.
+:class:`~repro.runtime.walker.CpeWalker` runs the 64 programs as
+cooperatively scheduled coroutines: a CPE blocks (yields) when it spins
+on a reply counter whose transfer has not completed or when it arrives
+at the mesh barrier, so cross-CPE interactions — a receiver waiting for
+a broadcast its sender has not issued yet — behave exactly like the
+hardware's spin loops.  A scheduling round in which no CPE makes
+progress is reported as a deadlock with each CPE's blocking reason,
+which turns schedule bugs into actionable failures instead of hangs.
+:class:`Executor` supplies what the statements do on the simulated
+DMA/RMA engines, SPM and clocks.
 
 Two modes share all of this logic:
 
@@ -34,24 +36,9 @@ import numpy as np
 from repro.errors import ExecutionError, SynchronizationError
 from repro.codegen.elementwise import get_elementwise
 from repro.codegen.backend import resolve_kernel
-from repro.poly.astnodes import (
-    AffRef,
-    ArrayRef,
-    BinExpr,
-    Block,
-    BlockOpStmt,
-    CommentStmt,
-    CommStmt,
-    Expr,
-    ForLoop,
-    IfStmt,
-    IntLit,
-    KernelCall,
-    NaiveComputeStmt,
-    Stmt,
-    VarRef,
-)
+from repro.poly.astnodes import ArrayRef, BinExpr, BlockOpStmt, KernelCall, NaiveComputeStmt
 from repro.runtime.program import CompiledProgram
+from repro.runtime.walker import CpeWalker
 from repro.sunway.athread import AthreadRuntime
 from repro.sunway.cpe import CPE
 from repro.sunway.mesh import Cluster
@@ -75,7 +62,7 @@ class ExecutionReport:
         return self.padded_flops / self.elapsed_seconds / 1e9
 
 
-class Executor:
+class Executor(CpeWalker):
     """Interpret a compiled program on a (simulated) cluster."""
 
     def __init__(
@@ -86,6 +73,7 @@ class Executor:
         scalar_naive: bool = False,
         guard: Optional[object] = None,
     ) -> None:
+        super().__init__()
         self.program = program
         self.cluster = cluster or Cluster(
             program.arch,
@@ -110,8 +98,6 @@ class Executor:
         self.kernel = resolve_kernel(
             program.arch, program.options, program.plan.kernel_shape
         )
-        self._blocked: Dict[Tuple[int, int], str] = {}
-        self._progress = 0
 
     # ------------------------------------------------------------------
     # Launch
@@ -170,66 +156,6 @@ class Executor:
                 if decl.name not in cpe.spm:
                     cpe.spm.alloc(decl.name, decl.shape, dtype=np_dtype)
 
-    # ------------------------------------------------------------------
-    # Virtual-time-ordered cooperative scheduler
-    # ------------------------------------------------------------------
-    #
-    # Shared resources (the DMA channel, the RMA row/column channels, the
-    # barrier) are modelled with availability times, so requests must be
-    # presented in (approximately) virtual-time order: always resume the
-    # runnable CPE whose clock is smallest — conservative discrete-event
-    # simulation with the coroutine as the event source.  Generators yield
-    # "step" after every clock-advancing statement and "blocked" when a
-    # spin-wait cannot complete; blocked CPEs re-poll whenever anyone else
-    # makes progress.
-
-    def _schedule(self, coroutines: List[Tuple[CPE, Generator]]) -> None:
-        runnable: List[Tuple[CPE, Generator]] = list(coroutines)
-        blocked: List[Tuple[CPE, Generator]] = []
-        while runnable or blocked:
-            if not runnable:
-                # Everyone is blocked: one re-poll round must progress.
-                before = self._progress
-                next_runnable: List[Tuple[CPE, Generator]] = []
-                still_blocked: List[Tuple[CPE, Generator]] = []
-                for cpe, gen in blocked:
-                    status = self._resume(cpe, gen)
-                    if status == "dead":
-                        continue
-                    target = still_blocked if status == "blocked" else next_runnable
-                    target.append((cpe, gen))
-                if not next_runnable and still_blocked and self._progress == before:
-                    reasons = "; ".join(
-                        f"CPE({r},{c}): {why}"
-                        for (r, c), why in sorted(self._blocked.items())
-                    )
-                    raise ExecutionError(
-                        f"deadlock: {len(still_blocked)} CPEs blocked with "
-                        f"no progress — {reasons or 'no reasons recorded'}"
-                    )
-                runnable, blocked = next_runnable, still_blocked
-                continue
-            # Resume the runnable CPE with the smallest virtual clock.
-            idx = min(range(len(runnable)), key=lambda n: runnable[n][0].clock)
-            cpe, gen = runnable.pop(idx)
-            before = self._progress
-            status = self._resume(cpe, gen)
-            if status == "blocked":
-                blocked.append((cpe, gen))
-            elif status != "dead":
-                runnable.append((cpe, gen))
-            if self._progress != before and blocked:
-                # Progress may have satisfied someone's wait: re-arm them.
-                runnable.extend(blocked)
-                blocked = []
-
-    def _resume(self, cpe: CPE, gen: Generator) -> str:
-        try:
-            return next(gen) or "step"
-        except StopIteration:
-            self._progress += 1
-            return "dead"
-
     def _watchdog_error(
         self, cpe: CPE, kind: str, key: str, value: int, lost: bool
     ) -> SynchronizationError:
@@ -257,124 +183,23 @@ class Executor:
             f"pending transfer into {buffers}"
         )
 
-    # ------------------------------------------------------------------
-    # Statement interpretation
-    # ------------------------------------------------------------------
-
-    def _exec_stmt(self, cpe: CPE, stmt: Stmt, env: Dict[str, object]):
-        if isinstance(stmt, Block):
-            for s in stmt.body:
-                yield from self._exec_stmt(cpe, s, env)
-            return
-        if isinstance(stmt, ForLoop):
-            lo = self._eval_int(stmt.lo, env)
-            hi = self._eval_int(stmt.hi, env)
-            for value in range(lo, hi, stmt.step):
-                env[stmt.var] = value
-                yield from self._exec_stmt(cpe, stmt.body, env)
-            env.pop(stmt.var, None)
-            return
-        if isinstance(stmt, IfStmt):
-            if self._eval_scalar(stmt.cond, env, cpe):
-                yield from self._exec_stmt(cpe, stmt.then, env)
-            elif stmt.els is not None:
-                yield from self._exec_stmt(cpe, stmt.els, env)
-            return
-        if isinstance(stmt, CommStmt):
-            yield from self._exec_comm(cpe, stmt, env)
-            return
-        if isinstance(stmt, KernelCall):
-            self._exec_kernel(cpe, stmt, env)
-            yield "step"
-            return
-        if isinstance(stmt, BlockOpStmt):
-            self._exec_blockop(cpe, stmt, env)
-            yield "step"
-            return
-        if isinstance(stmt, NaiveComputeStmt):
-            self._exec_naive(cpe, stmt, env)
-            yield "step"
-            return
-        if isinstance(stmt, CommentStmt):
-            return
-        raise ExecutionError(f"cannot interpret statement {type(stmt).__name__}")
+    def _watch_wait(self, cpe: CPE, kind: str, key: str, value: int, since):
+        """Watchdog: a reply that the fault plane dropped will never
+        arrive — diagnose immediately.  Otherwise give the wait a bounded
+        budget of *virtual* time while the rest of the mesh advances, then
+        turn the stall into a diagnostic instead of spinning until the
+        global deadlock detector."""
+        if key in cpe.lost_replies:
+            raise self._watchdog_error(cpe, kind, key, value, lost=True)
+        if since is None:
+            return self.cluster.elapsed()
+        if self._watchdog_s > 0 and self.cluster.elapsed() - since > self._watchdog_s:
+            raise self._watchdog_error(cpe, kind, key, value, lost=False)
+        return since
 
     # ------------------------------------------------------------------
-    # Communication statements (the §7.1 extension node type)
+    # Transfers
     # ------------------------------------------------------------------
-
-    def _reply_key(self, args: Mapping[str, object], env, slot_key: str = "reply_slot") -> str:
-        slot = self._eval_int(args[slot_key], env)
-        base = args["reply"] if "reply" in args else None
-        return f"{base}#{slot}"
-
-    def _exec_comm(self, cpe: CPE, stmt: CommStmt, env: Dict[str, object]):
-        kind = stmt.kind
-        args = stmt.args
-        rt = self.runtime
-        if kind == "reply_reset":
-            rt.reply_reset(cpe, self._reply_key(args, env))
-            self._progress += 1
-            return
-        if kind in ("dma_iget", "dma_iput"):
-            self._issue_dma(cpe, kind, args, env)
-            self._progress += 1
-            yield "step"  # channel occupancy depends on virtual-time order
-            return
-        if kind in ("dma_wait_value", "rma_wait_value"):
-            key = self._reply_key(args, env)
-            value = int(args.get("value", 1))
-            waited_since: Optional[float] = None
-            while not rt.reply_satisfied(cpe, key, value):
-                self._blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
-                # Watchdog: a reply that the fault plane dropped will never
-                # arrive — diagnose immediately.  Otherwise give the wait a
-                # bounded budget of *virtual* time while the rest of the
-                # mesh advances, then turn the stall into a diagnostic
-                # instead of spinning until the global deadlock detector.
-                if key in cpe.lost_replies:
-                    raise self._watchdog_error(cpe, kind, key, value, lost=True)
-                if waited_since is None:
-                    waited_since = self.cluster.elapsed()
-                elif (
-                    self._watchdog_s > 0
-                    and self.cluster.elapsed() - waited_since > self._watchdog_s
-                ):
-                    raise self._watchdog_error(cpe, kind, key, value, lost=False)
-                yield "blocked"
-            self._blocked.pop((cpe.rid, cpe.cid), None)
-            rt.finish_wait(cpe, key, value)
-            self._progress += 1
-            yield "step"
-            return
-        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
-            slot_s = self._eval_int(args["src_slot"], env)
-            slot_d = self._eval_int(args["dst_slot"], env)
-            reply_slot = self._eval_int(args["reply_slot"], env)
-            replys = f"{args['replys']}#{reply_slot}"
-            replyr = f"{args['replyr']}#{reply_slot}"
-            issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
-            issue(
-                cpe,
-                (str(args["src_buffer"]), slot_s),
-                (str(args["dst_buffer"]), slot_d),
-                int(args["size"]),
-                replys,
-                replyr,
-            )
-            self._progress += 1
-            yield "step"
-            return
-        if kind == "synch":
-            token = rt.barrier_arrive(cpe)
-            while not rt.barrier_passed(token):
-                self._blocked[(cpe.rid, cpe.cid)] = "synch"
-                yield "blocked"
-            self._blocked.pop((cpe.rid, cpe.cid), None)
-            self._progress += 1
-            yield "step"
-            return
-        raise ExecutionError(f"unknown communication statement {kind!r}")
 
     def _issue_dma(self, cpe: CPE, kind: str, args: Mapping[str, object], env) -> None:
         array_name = str(args["array"])
@@ -402,6 +227,11 @@ class Executor:
                 cpe, array_name, offset, (buffer, slot), size, length, strip, reply
             )
 
+    def _issue_rma(self, cpe: CPE, kind: str, src, dst, replys, replyr, args) -> None:
+        rt = self.runtime
+        issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
+        issue(cpe, src, dst, int(args["size"]), replys, replyr)
+
     # ------------------------------------------------------------------
     # Compute statements
     # ------------------------------------------------------------------
@@ -427,7 +257,6 @@ class Executor:
             cpe, self.kernel.seconds_per_call * self._kernel_time_factor
         )
         cpe.stats["kernel_calls"] += 1
-        self._progress += 1
 
     def _exec_blockop(self, cpe: CPE, stmt: BlockOpStmt, env) -> None:
         view, _ = self._slot_view(cpe, stmt.dst, env)
@@ -445,7 +274,6 @@ class Executor:
         else:
             raise ExecutionError(f"unknown block op {stmt.op!r}")
         self.runtime.charge_compute(cpe, elements / rate, kind="blockop")
-        self._progress += 1
 
     def _exec_naive(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
         seconds = self.program.arch.naive_time_s(*stmt.extents)
@@ -457,7 +285,6 @@ class Executor:
                 self._exec_naive_vectorised(cpe, stmt, env)
         self.runtime.charge_compute(cpe, seconds)
         cpe.stats["kernel_calls"] += 1
-        self._progress += 1
 
     def _exec_naive_scalar(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
         extents = stmt.extents
@@ -493,46 +320,9 @@ class Executor:
         else:
             view[idx] = value
 
-    # ------------------------------------------------------------------
-    # Expression evaluation
-    # ------------------------------------------------------------------
-
-    def _eval_int(self, expr, env) -> int:
-        value = self._eval_scalar(expr, env, None)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ExecutionError(f"expected integer, got {value!r}")
-        return int(value)
-
-    def _eval_scalar(self, expr, env, cpe: Optional[CPE]):
-        if isinstance(expr, (IntLit,)):
-            return expr.value
-        if isinstance(expr, VarRef):
-            return expr.evaluate(env)
-        if isinstance(expr, AffRef):
-            return expr.evaluate(env)
-        if isinstance(expr, BinExpr):
-            a = self._eval_scalar(expr.lhs, env, cpe)
-            b = self._eval_scalar(expr.rhs, env, cpe)
-            return BinExpr(expr.op, _Const(a), _Const(b)).evaluate({})
-        if isinstance(expr, ArrayRef):
-            if cpe is None:
-                raise ExecutionError("array reference outside CPE context")
-            view, _ = self._slot_view(cpe, _slot_only(expr), env)
-            idx = tuple(self._eval_int(e, env) for e in expr.indices[1:])
-            return float(view[idx])
-        if hasattr(expr, "evaluate"):
-            return expr.evaluate(env)
-        if isinstance(expr, (int, float)):
-            return expr
-        raise ExecutionError(f"cannot evaluate expression {expr!r}")
-
-
-@dataclass(frozen=True)
-class _Const(Expr):
-    value: object
-
-    def evaluate(self, env):
-        return self.value
+    def _load_element(self, cpe: CPE, ref: ArrayRef, env) -> float:
+        view, _ = self._slot_view(cpe, _slot_only(ref), env)
+        return float(view[tuple(self._eval_int(e, env) for e in ref.indices[1:])])
 
 
 def _slot_only(ref: ArrayRef) -> ArrayRef:

@@ -260,7 +260,6 @@ def _register_all() -> None:
         ast.Block,
         ast.ForLoop,
         ast.IfStmt,
-        ast.AssignStmt,
         ast.CommStmt,
         ast.KernelCall,
         ast.BlockOpStmt,

@@ -290,9 +290,6 @@ class RewriteOutcome:
     #: replayed machine legality of the admitted candidate (True only
     #: when ``applied``).
     proven: bool = False
-    #: the admitted candidate's lowered program (None unless applied) —
-    #: lets the pipeline pass probe bubble occupancy without re-lowering.
-    cpe_program: Optional[object] = None
 
 
 def lower_root(dec, root, dma_specs, rma_specs, arch):
@@ -371,45 +368,4 @@ def apply_rewrite(dec, name, dma_specs, rma_specs, arch) -> RewriteOutcome:
     dec.bands = {
         key: correspondence[id(band)] for key, band in dec.bands.items()
     }
-    return RewriteOutcome(
-        name, applied=True, proven=True, cpe_program=candidate
-    )
-
-
-def bubble_occupancy(dec, cpe_program, arch) -> float:
-    """Timed bubble fraction of one chunk of this lowered candidate.
-
-    Runs the coroutine interpreter (timing-only) on the same chunk
-    problem the replay machine verifies (K = 2·k_step) and reports the
-    share of total CPE-time spent outside the micro kernel — the
-    quantity the rewrites exist to shrink, attributed per pass in
-    ``pass_stats``."""
-    from repro.runtime.executor import Executor
-    from repro.runtime.program import CompiledProgram
-    from repro.sunway.mesh import Cluster
-
-    plan, spec = dec.plan, dec.spec
-    program = CompiledProgram(
-        spec=spec,
-        options=dec.options,
-        arch=arch,
-        plan=plan,
-        decomposition=dec,
-        cpe_program=cpe_program,
-    )
-    cluster = Cluster(arch)
-    K = 2 * plan.k_step
-    cm, cn = plan.chunk_m, plan.chunk_n
-    batched = spec.is_batched
-    cluster.memory.alloc(spec.a_name, (1, cm, K) if batched else (cm, K))
-    cluster.memory.alloc(spec.b_name, (1, K, cn) if batched else (K, cn))
-    cluster.memory.alloc(spec.c_name, (1, cm, cn) if batched else (cm, cn))
-    params = {spec.m_param: cm, spec.n_param: cn, spec.k_param: K}
-    if batched:
-        params[spec.batch_param] = 1
-    report = Executor(program, cluster, move_data=False).run(params)
-    chunk = report.elapsed_seconds - arch.spawn_us * 1e-6
-    if chunk <= 0:
-        return 0.0
-    compute = report.stats.get("compute_seconds", 0.0)
-    return max(0.0, 1.0 - compute / (plan.mesh * plan.mesh * chunk))
+    return RewriteOutcome(name, applied=True, proven=True)

@@ -49,7 +49,8 @@ class ServiceConfig:
 
     #: Hot-tier capacity (distinct kernels held in process memory).
     memory_capacity: int = 64
-    #: Warm-tier directory; ``None`` disables disk persistence.
+    #: Warm-tier directory (a ``str`` is coerced to :class:`Path`);
+    #: ``None`` disables disk persistence.
     cache_dir: Optional[Path] = None
     #: ``False`` bypasses both tiers (the CLI's ``--no-cache``).
     enabled: bool = True
@@ -64,6 +65,10 @@ class ServiceConfig:
     #: library default; the serving daemon runs with 2 so one tenant's
     #: cold sweep cannot evict every other tenant's hot kernels).
     admission_threshold: int = 1
+
+    def __post_init__(self) -> None:
+        if self.cache_dir is not None:
+            object.__setattr__(self, "cache_dir", Path(self.cache_dir))
 
 
 @dataclass

@@ -1,14 +1,15 @@
-"""A timing-less mesh machine for compile-time schedule verification.
+"""A timing-less mesh ledger for compile-time schedule verification.
 
-Interprets the generated CPE AST for the *whole* mesh — every CPE as a
-cooperative coroutine, round-robin scheduled — tracking only what the
+The generated CPE AST is run for the *whole* mesh by the same
+interpreter that executes it, :class:`~repro.runtime.walker.CpeWalker`;
+:class:`ScheduleMachine` is the walker backend that tracks only what the
 safety checks need: which SPM buffer slots an asynchronous DMA/RMA has
 marked in flight, the reply-counter ledger, and the ``synch()`` barrier
-with its RMA arming bit.  It mirrors the runtime semantics of
-:mod:`repro.runtime.executor` / :mod:`repro.sunway.spm` exactly, minus
-data movement and the cost model, which makes the double-buffer hazard
-check (§6) and the RMA discipline check (§5) decidable before a kernel
-is ever admitted.
+with its RMA arming bit.  Data movement and the cost model are left
+out, which makes the double-buffer hazard check (§6) and the RMA
+discipline check (§5) decidable before a kernel is ever admitted.  The
+per-CPE clock counts the CPE's resumes, blocked polls included, so the
+walker's virtual-time scheduler interleaves the CPEs round-robin.
 
 The machine runs one *chunk* problem with ``K = 2·k_step`` so both
 double-buffer parities (even and odd slots of the peeled/pipelined
@@ -22,24 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.poly.astnodes import (
-    AffRef,
-    ArrayRef,
-    BinExpr,
-    Block,
-    BlockOpStmt,
-    CommentStmt,
-    CommStmt,
-    CpeProgram,
-    Expr,
-    ForLoop,
-    IfStmt,
-    IntLit,
-    KernelCall,
-    NaiveComputeStmt,
-    Stmt,
-    VarRef,
-)
+from repro.errors import UnknownStatementError
+from repro.poly.astnodes import ArrayRef, BinExpr, CpeProgram
+from repro.runtime.walker import CpeWalker
+from repro.sunway.athread import is_rma_counter
 
 #: Resume-count ceiling: far above any real schedule (a chunk run is a
 #: few thousand statements per CPE) but bounds pathological input.
@@ -47,12 +34,6 @@ MAX_STEPS = 2_000_000
 
 #: Witnesses retained per category before the machine stops recording.
 MAX_WITNESSES = 10
-
-
-def _is_rma_counter(name: str) -> bool:
-    """Mirror of the executor's disarm rule: RMA/broadcast counters."""
-    base = name.split("#", 1)[0]
-    return base.startswith(("rma", "bcast")) or "bcast" in base
 
 
 @dataclass
@@ -69,23 +50,20 @@ class MachineResult:
     stats: Dict[str, int] = field(default_factory=dict)
 
 
+class _Halt(Exception):
+    """Stops the replay; the reason is already in the result."""
+
+
 class _CpeState:
     """Per-CPE verification state: in-flight map + reply ledger."""
 
-    __slots__ = (
-        "rid",
-        "cid",
-        "inflight",
-        "counters",
-        "records",
-        "waited",
-        "armed",
-        "env",
-    )
+    __slots__ = ("rid", "cid", "clock", "inflight", "counters", "records", "waited", "armed")
 
-    def __init__(self, rid: int, cid: int, env: Dict[str, object]) -> None:
+    def __init__(self, rid: int, cid: int) -> None:
         self.rid = rid
         self.cid = cid
+        #: resumes so far: the walker's scheduling clock.
+        self.clock = 0
         #: (buffer, slot) -> cause string, exactly like ScratchPadMemory.
         self.inflight: Dict[Tuple[str, int], str] = {}
         #: reply key -> cumulative count since last reset.
@@ -96,15 +74,16 @@ class _CpeState:
         #: reply key -> highest value ever waited since last reset.
         self.waited: Dict[str, int] = {}
         self.armed = False
-        self.env = env
 
 
-class ScheduleMachine:
+class ScheduleMachine(CpeWalker):
     """Run one CPE program across a mesh, recording safety violations.
 
     Violations are *recorded*, not raised: a broken schedule usually
     trips several related invariants and the report should show the
-    first few witnesses of each kind, not die on the first.
+    first few witnesses of each kind, not die on the first.  A deadlock,
+    a run past :data:`MAX_STEPS` and a statement the interpreter does not
+    know stop the run and are recorded the same way.
     """
 
     def __init__(
@@ -113,12 +92,17 @@ class ScheduleMachine:
         mesh: int,
         params: Dict[str, int],
     ) -> None:
+        super().__init__()
+        #: the machine is its own runtime: the reply-counter and barrier
+        #: interface of AthreadRuntime, over the ledger below.
+        self.runtime = self
         self.program = program
         self.mesh = mesh
         self.params = dict(params)
         self.result = MachineResult()
         self._arrived = 0
         self._generation = 0
+        self._steps = 0
         #: (generation, kind) -> list of (channel, (rid, cid)) senders.
         self._rma_log: Dict[Tuple[int, str], List[Tuple[int, Tuple[int, int]]]] = {}
         self._stats = {
@@ -128,173 +112,117 @@ class ScheduleMachine:
             "barriers": 0,
             "steps": 0,
         }
-        self.states = [
-            [
-                _CpeState(
-                    rid,
-                    cid,
-                    dict(self.params, Rid=rid, Cid=cid, alpha=1.0, beta=1.0),
-                )
-                for cid in range(mesh)
-            ]
-            for rid in range(mesh)
-        ]
+        self.states = [[_CpeState(rid, cid) for cid in range(mesh)] for rid in range(mesh)]
 
-    # -- driving loop -------------------------------------------------------
+    # -- driving the shared walker -----------------------------------------
 
     def run(self) -> MachineResult:
-        flat = [s for row in self.states for s in row]
-        coroutines = [self._exec(state, self.program.body) for state in flat]
-        live = list(range(len(flat)))
-        steps = 0
-        while live:
-            progressed = False
-            blocked_reasons: List[str] = []
-            for index in list(live):
-                try:
-                    signal = next(coroutines[index])
-                except StopIteration:
-                    live.remove(index)
-                    progressed = True
-                    continue
-                steps += 1
-                if signal == "blocked":
-                    state = flat[index]
-                    blocked_reasons.append(
-                        f"CPE({state.rid},{state.cid}): {state.env.get('__blocked__', 'waiting')}"
-                    )
-                else:
-                    progressed = True
-                if steps > MAX_STEPS:
-                    self.result.completed = False
-                    self.result.deadlock = (
-                        f"schedule did not terminate within {MAX_STEPS} steps"
-                    )
-                    self._finish()
-                    return self.result
-            if not progressed and live:
-                self.result.completed = False
-                self.result.deadlock = "; ".join(sorted(set(blocked_reasons))[:8])
-                self._finish()
-                return self.result
-        self._stats["steps"] = steps
+        coroutines = [
+            (
+                state,
+                self._exec_stmt(
+                    state,
+                    self.program.body,
+                    dict(self.params, Rid=state.rid, Cid=state.cid, alpha=1.0, beta=1.0),
+                ),
+            )
+            for row in self.states
+            for state in row
+        ]
+        try:
+            self._schedule(coroutines)
+        except _Halt:
+            self.result.completed = False
+        self._stats["steps"] = self._steps
         self._finish()
         return self.result
 
-    # -- statement interpretation ------------------------------------------
+    def _resume(self, state: _CpeState, gen) -> str:
+        self._steps += 1
+        if self._steps > MAX_STEPS:
+            self.result.deadlock = f"schedule did not terminate within {MAX_STEPS} steps"
+            raise _Halt
+        try:
+            status = next(gen) or "step"
+        except StopIteration:
+            self._progress += 1
+            return "dead"
+        except UnknownStatementError as exc:
+            self._record(
+                self.result.discipline if exc.kind else self.result.hazards,
+                {
+                    "violation": "unknown-statement",
+                    "cpe": (state.rid, state.cid),
+                    "statement": exc.statement,
+                    "kind": exc.kind,
+                    "detail": str(exc),
+                },
+            )
+            raise _Halt from exc
+        state.clock += 1
+        return status
 
-    def _exec(self, state: _CpeState, stmt: Stmt):
-        if isinstance(stmt, Block):
-            for inner in stmt.body:
-                yield from self._exec(state, inner)
-            return
-        if isinstance(stmt, ForLoop):
-            lo = self._eval(stmt.lo, state.env)
-            hi = self._eval(stmt.hi, state.env)
-            for value in range(lo, hi, stmt.step):
-                state.env[stmt.var] = value
-                yield from self._exec(state, stmt.body)
-            state.env.pop(stmt.var, None)
-            return
-        if isinstance(stmt, IfStmt):
-            if self._eval(stmt.cond, state.env):
-                yield from self._exec(state, stmt.then)
-            elif stmt.els is not None:
-                yield from self._exec(state, stmt.els)
-            return
-        if isinstance(stmt, CommStmt):
-            yield from self._exec_comm(state, stmt)
-            return
-        if isinstance(stmt, KernelCall):
-            for what, ref in (
-                ("kernel C operand", stmt.c_ref),
-                ("kernel A operand", stmt.a_ref),
-                ("kernel B operand", stmt.b_ref),
-            ):
-                self._check_read(state, ref, what)
-            yield "step"
-            return
-        if isinstance(stmt, BlockOpStmt):
-            self._check_read(state, stmt.dst, f"block op {stmt.op!r}")
-            yield "step"
-            return
-        if isinstance(stmt, NaiveComputeStmt):
-            self._check_read(state, stmt.target, "naive compute target")
-            for ref in _spm_refs(stmt.value):
-                self._check_read(state, ref, "naive compute operand")
-            yield "step"
-            return
-        if isinstance(stmt, CommentStmt):
-            return
-        # Anything else (AssignStmt over scalars, …) is hazard-neutral.
-        yield "step"
+    def _deadlock(self, stuck: int) -> None:
+        self.result.deadlock = "; ".join(
+            sorted({f"CPE({r},{c}): {why}" for (r, c), why in self._blocked.items()})[:8]
+        )
+        raise _Halt
 
-    def _exec_comm(self, state: _CpeState, stmt: CommStmt):
-        kind = stmt.kind
-        args = stmt.args
-        if kind == "reply_reset":
-            key = self._reply_key(args, state.env)
-            self._flag_unconsumed(state, key, at="reply_reset")
-            state.counters[key] = 0
-            state.records[key] = []
-            state.waited[key] = 0
-            return
-        if kind in ("dma_iget", "dma_iput"):
-            slot = self._eval(args["slot"], state.env)
-            buffer = str(args["buffer"])
-            key = self._reply_key(args, state.env)
-            if kind == "dma_iput":
-                # A put *reads* the SPM source; mirror DMAEngine.iput's
-                # check_readable-then-mark order.
-                self._check_slot(state, buffer, slot, "dma_iput source")
-            state.inflight[(buffer, slot)] = f"{kind}/{key}"
-            state.counters[key] = state.counters.get(key, 0) + 1
-            state.records.setdefault(key, []).append((buffer, slot))
-            self._stats["dma_issues"] += 1
-            yield "step"
-            return
-        if kind in ("dma_wait_value", "rma_wait_value"):
-            key = self._reply_key(args, state.env)
-            value = int(args.get("value", 1))
-            while state.counters.get(key, 0) < value:
-                state.env["__blocked__"] = f"{kind} {key} >= {value}"
-                yield "blocked"
-            state.env.pop("__blocked__", None)
-            self._finish_wait(state, key, value)
-            self._stats["waits"] += 1
-            yield "step"
-            return
-        if kind in ("rma_row_ibcast", "rma_col_ibcast"):
-            self._issue_rma(state, kind, args)
-            self._stats["rma_issues"] += 1
-            yield "step"
-            return
-        if kind == "synch":
-            token = self._generation
-            self._arrived += 1
-            if self._arrived == self.mesh * self.mesh:
-                self._arrived = 0
-                self._generation += 1
-                for row in self.states:
-                    for other in row:
-                        other.armed = True
-            while self._generation <= token:
-                state.env["__blocked__"] = "synch"
-                yield "blocked"
-            state.env.pop("__blocked__", None)
-            self._stats["barriers"] += 1
-            yield "step"
-            return
-        yield "step"
+    # -- reply counters and barrier (the runtime interface) ----------------
 
-    def _issue_rma(self, state: _CpeState, kind: str, args) -> None:
-        slot_s = self._eval(args["src_slot"], state.env)
-        slot_d = self._eval(args["dst_slot"], state.env)
-        reply_slot = self._eval(args["reply_slot"], state.env)
-        src = str(args["src_buffer"])
-        dst = str(args["dst_buffer"])
-        replys = f"{args['replys']}#{reply_slot}"
-        replyr = f"{args['replyr']}#{reply_slot}"
+    def reply_reset(self, state: _CpeState, key: str) -> None:
+        self._flag_unconsumed(state, key, at="reply_reset")
+        state.counters[key] = 0
+        state.records[key] = []
+        state.waited[key] = 0
+
+    def reply_satisfied(self, state: _CpeState, key: str, value: int) -> bool:
+        return state.counters.get(key, 0) >= value
+
+    def finish_wait(self, state: _CpeState, key: str, value: int) -> None:
+        """Mirror of ``AthreadRuntime.finish_wait``: consume the first
+        ``value`` records, clearing their in-flight marks; a wait on an
+        RMA counter disarms the CPE (a fresh synch() is required before
+        the next broadcast)."""
+        for record in state.records.get(key, [])[:value]:
+            if record is not None:
+                state.inflight.pop(record, None)
+        state.waited[key] = max(state.waited.get(key, 0), value)
+        if is_rma_counter(key):
+            state.armed = False
+        self._stats["waits"] += 1
+
+    def barrier_arrive(self, state: _CpeState) -> int:
+        token = self._generation
+        self._arrived += 1
+        self._stats["barriers"] += 1
+        if self._arrived == self.mesh * self.mesh:
+            self._arrived = 0
+            self._generation += 1
+            for row in self.states:
+                for other in row:
+                    other.armed = True
+        return token
+
+    def barrier_passed(self, token: int) -> bool:
+        return self._generation > token
+
+    # -- transfers ----------------------------------------------------------
+
+    def _issue_dma(self, state: _CpeState, kind: str, args, env) -> None:
+        slot = self._eval_int(args["slot"], env)
+        buffer = str(args["buffer"])
+        key = self._reply_key(args, env)
+        if kind == "dma_iput":
+            # A put *reads* the SPM source; mirror DMAEngine.iput's
+            # check_readable-then-mark order.
+            self._check_slot(state, buffer, slot, "dma_iput source")
+        state.inflight[(buffer, slot)] = f"{kind}/{key}"
+        state.counters[key] = state.counters.get(key, 0) + 1
+        state.records.setdefault(key, []).append((buffer, slot))
+        self._stats["dma_issues"] += 1
+
+    def _issue_rma(self, state: _CpeState, kind: str, src, dst, replys, replyr, args) -> None:
         if not state.armed:
             self._record(
                 self.result.discipline,
@@ -302,7 +230,7 @@ class ScheduleMachine:
                     "violation": "rma-without-synch",
                     "cpe": (state.rid, state.cid),
                     "kind": kind,
-                    "src": (src, slot_s),
+                    "src": src,
                     "detail": (
                         "RMA issued without a preceding synch(); the §5 "
                         "discipline requires re-arming before every launch"
@@ -310,7 +238,7 @@ class ScheduleMachine:
                 },
             )
         # The broadcast reads its SPM source on the sender.
-        self._check_slot(state, src, slot_s, f"{kind} source")
+        self._check_slot(state, src[0], src[1], f"{kind} source")
         row_bcast = kind == "rma_row_ibcast"
         channel = state.rid if row_bcast else state.cid
         self._rma_log.setdefault((self._generation, kind), []).append(
@@ -321,30 +249,37 @@ class ScheduleMachine:
         else:
             receivers = [row[state.cid] for row in self.states]
         for receiver in receivers:
-            receiver.inflight[(dst, slot_d)] = f"rma/{replyr}"
+            receiver.inflight[dst] = f"rma/{replyr}"
             receiver.counters[replyr] = receiver.counters.get(replyr, 0) + 1
-            receiver.records.setdefault(replyr, []).append((dst, slot_d))
+            receiver.records.setdefault(replyr, []).append(dst)
         state.counters[replys] = state.counters.get(replys, 0) + 1
         state.records.setdefault(replys, []).append(None)
+        self._stats["rma_issues"] += 1
 
-    # -- mirrored runtime semantics ----------------------------------------
+    # -- compute statements: SPM reads ----------------------------------------
 
-    def _finish_wait(self, state: _CpeState, key: str, value: int) -> None:
-        """Mirror of ``AthreadRuntime.finish_wait``: consume the first
-        ``value`` records, clearing their in-flight marks; a wait on an
-        RMA counter disarms the CPE (a fresh synch() is required before
-        the next broadcast)."""
-        for record in state.records.get(key, [])[:value]:
-            if record is not None:
-                state.inflight.pop(record, None)
-        state.waited[key] = max(state.waited.get(key, 0), value)
-        if _is_rma_counter(key):
-            state.armed = False
+    def _exec_kernel(self, state: _CpeState, stmt, env) -> None:
+        for what, ref in (
+            ("kernel C operand", stmt.c_ref),
+            ("kernel A operand", stmt.a_ref),
+            ("kernel B operand", stmt.b_ref),
+        ):
+            self._check_read(state, ref, env, what)
 
-    def _check_read(self, state: _CpeState, ref: ArrayRef, what: str) -> None:
+    def _exec_blockop(self, state: _CpeState, stmt, env) -> None:
+        self._check_read(state, stmt.dst, env, f"block op {stmt.op!r}")
+
+    def _exec_naive(self, state: _CpeState, stmt, env) -> None:
+        self._check_read(state, stmt.target, env, "naive compute target")
+        for ref in _spm_refs(stmt.value):
+            self._check_read(state, ref, env, "naive compute operand")
+
+    # -- checks ---------------------------------------------------------------
+
+    def _check_read(self, state: _CpeState, ref: ArrayRef, env, what: str) -> None:
         if ref.memory != "spm":
             return
-        slot = self._eval(ref.indices[0], state.env) if ref.indices else 0
+        slot = self._eval_int(ref.indices[0], env) if ref.indices else 0
         self._check_slot(state, ref.array, slot, what)
 
     def _check_slot(self, state: _CpeState, buffer: str, slot: int, what: str) -> None:
@@ -370,7 +305,7 @@ class ScheduleMachine:
             return
         sink = (
             self.result.discipline
-            if _is_rma_counter(key)
+            if is_rma_counter(key)
             else self.result.hazards
         )
         self._record(
@@ -445,30 +380,6 @@ class ScheduleMachine:
                         "expected_channels": self.mesh,
                     },
                 )
-
-    # -- expression evaluation ---------------------------------------------
-
-    def _reply_key(self, args, env) -> str:
-        slot = self._eval(args["reply_slot"], env)
-        return f"{args['reply']}#{slot}"
-
-    def _eval(self, expr, env) -> int:
-        if isinstance(expr, IntLit):
-            return expr.value
-        if isinstance(expr, (VarRef, AffRef)):
-            value = expr.evaluate(
-                {k: v for k, v in env.items() if isinstance(v, int)}
-                if isinstance(expr, AffRef)
-                else env
-            )
-            return value
-        if isinstance(expr, BinExpr):
-            return expr.evaluate(env)
-        if isinstance(expr, int):
-            return expr
-        if isinstance(expr, Expr):
-            return expr.evaluate(env)
-        raise TypeError(f"cannot evaluate {expr!r} statically")
 
 
 def _spm_refs(expr) -> List[ArrayRef]:

@@ -65,6 +65,19 @@ def test_compile_run_verify_round_trip(daemon):
         assert verified["ok"]
 
 
+@pytest.mark.parametrize(
+    "fusion", [{"fusion": "epilogue", "epilogue_func": "relu"},
+               {"fusion": "prologue", "prologue_func": "quant"}],
+    ids=["epilogue", "prologue"],
+)
+def test_run_checks_fused_kernels_against_the_fused_reference(daemon, fusion):
+    with Client(daemon.address, tenant="t") as client:
+        ran = client.run(
+            dict(fusion, arch="toy", M=32, N=32, K=16, seed=5, alpha=0.5)
+        )
+        assert ran["ok"] and ran["max_error"] < 1e-8
+
+
 def test_error_types_map_to_exceptions(daemon):
     with Client(daemon.address, tenant="t") as client:
         # Known remote error types come back as the matching local class.

@@ -148,6 +148,19 @@ def test_disk_tier_survives_service_restart(tmp_path):
     assert reloaded.cpe_source() == program.cpe_source()
 
 
+def test_str_cache_dir_is_a_path(tmp_path):
+    """``cache_dir`` given as a string works like a Path: stats() and the
+    tuning store both build paths under it."""
+    config = ServiceConfig(cache_dir=str(tmp_path / "cache"))
+    assert config.cache_dir == tmp_path / "cache"
+    service = CompileService(config)
+    service.get_program(GemmSpec(), TOY_ARCH, CompilerOptions.full())
+    stats = service.stats()
+    assert stats["compiles"]["count"] == 1
+    assert stats["tuning"]["records"] == 0
+    assert service.tuning_store is not None
+
+
 def test_lru_eviction_falls_back_to_disk(tmp_path):
     """Evicted from memory but still on disk: the next request reloads
     the artifact instead of recompiling."""
