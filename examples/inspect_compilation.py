@@ -11,12 +11,12 @@ the paper, live:
 4. the final tree with DMA/RMA extension nodes and peeling (Figs. 9/11);
 5. the generated athread C (§7).
 
-Run:  python examples/inspect_compilation.py [--no-hiding]
+Run:  python examples/inspect_compilation.py [--schedule=off]
 """
 
 import sys
 
-from repro import CompilerOptions, GemmCompiler, GemmSpec
+from repro import CompilerOptions, GemmSpec, api
 from repro.core.decomposition import decompose
 from repro.core.tile_model import plan_for_kernel, search_optimal_shape
 from repro.poly.dependences import analyze_statement
@@ -28,7 +28,7 @@ def headline(text: str) -> None:
 
 
 def main() -> None:
-    hiding = "--no-hiding" not in sys.argv
+    hiding = "--schedule=off" not in sys.argv
     options = CompilerOptions.full() if hiding else CompilerOptions.with_rma()
     spec = GemmSpec()
 
@@ -50,7 +50,7 @@ def main() -> None:
     print(dec.root.dump())
 
     headline("final schedule tree with DMA/RMA and peeling (Figs. 9/11)")
-    program = GemmCompiler(SW26010PRO, options).compile(spec)
+    program = api.compile(spec, options=options)
     dump = program.tree_dump()
     print(dump[:3500])
     if len(dump) > 3500:

@@ -1,7 +1,6 @@
 """The stable public API.
 
-Four verbs cover what four PRs of entry points (``GemmCompiler``,
-``KernelService``, bare ``run_gemm``, the CLI helpers) grew organically:
+Four verbs cover compiling, running, tuning and verifying a GEMM:
 
 * :func:`compile` — spec in, admission-verified
   :class:`~repro.runtime.program.CompiledProgram` out, served through
@@ -14,11 +13,10 @@ Four verbs cover what four PRs of entry points (``GemmCompiler``,
 * :func:`verify` — run the static admission verifier over a program and
   return its :class:`~repro.verify.VerificationReport`.
 
-Everything here is re-exported from ``repro`` itself; the old entry
-points still work but emit :class:`DeprecationWarning` with a one-line
-migration hint (see :mod:`repro.compat`).
-
-Compiler options pass as keyword overrides, e.g.::
+Everything here is re-exported from ``repro`` itself.  Compiler options
+pass as keyword overrides (coerced by
+:func:`repro.core.options.coerce_options`, the same translation the CLI
+flags and the daemon's wire params go through), e.g.::
 
     program = api.compile(spec, enable_rma=False)
     result = api.run(program, a, b)
@@ -27,13 +25,13 @@ Compiler options pass as keyword overrides, e.g.::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields as dataclass_fields
+from dataclasses import dataclass
 from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.core.options import CompilerOptions, SchedulePolicy, TileConfig
+from repro.core.options import CompilerOptions, coerce_options
 from repro.core.spec import GemmSpec
 from repro.runtime.executor import ExecutionReport
 from repro.runtime.executor import run_gemm as _run_gemm
@@ -49,9 +47,6 @@ __all__ = [
     "tune",
     "verify",
 ]
-
-_OPTION_FIELDS = frozenset(f.name for f in dataclass_fields(CompilerOptions))
-
 
 @dataclass(frozen=True)
 class GemmResult:
@@ -72,36 +67,6 @@ class GemmResult:
         """Unpack like the legacy ``run_gemm`` tuple: ``c, report``."""
         yield self.c
         yield self.report
-
-
-def _coerce_options(
-    options: Optional[CompilerOptions], overrides: dict
-) -> CompilerOptions:
-    unknown = set(overrides) - _OPTION_FIELDS
-    if unknown:
-        raise ConfigurationError(
-            f"unknown compiler option(s) {sorted(unknown)}; valid options "
-            f"are {sorted(_OPTION_FIELDS)}"
-        )
-    if "schedule" in overrides:
-        # Accept the structured SchedulePolicy, a bare mode string
-        # ("recipe"/"optimize"/"off"), or a {"mode", "allow", "deny"}
-        # mapping — callers shouldn't need to import the dataclass.
-        overrides = {
-            **overrides,
-            "schedule": SchedulePolicy.parse(overrides["schedule"]),
-        }
-    base = options or CompilerOptions()
-    if (
-        overrides.get("use_asm") is False
-        and "enable_latency_hiding" not in overrides
-        and base.enable_latency_hiding
-    ):
-        # Latency hiding pipelines the asm kernel; without the kernel it
-        # has nothing to hide behind, so derive it off (the CLI's
-        # --no-use-asm does the same).
-        overrides = {**overrides, "enable_latency_hiding": False}
-    return base.with_(**overrides) if overrides else base
 
 
 def _service(service):
@@ -130,7 +95,7 @@ def compile(
     shape class has a :class:`~repro.tune.records.TuningRecord`.
     """
     spec = spec or GemmSpec()
-    opts = _coerce_options(options, option_overrides)
+    opts = coerce_options(options, option_overrides)
     return _service(service).get_program(
         spec, arch, opts, timeout_s=timeout, shape_hint=shape
     )
@@ -211,7 +176,7 @@ def tune(
         raise ConfigurationError(
             f"shape must be (M, N, K) or (M, N, K, batch), got {shape!r}"
         )
-    base = _coerce_options(
+    base = coerce_options(
         options or CompilerOptions.full(), option_overrides
     )
     tuner = Tuner(arch, service=_service(service))

@@ -14,7 +14,7 @@ the pass-pipeline introspection surface::
     swgemm passes list                         # the variant-aware pipeline
     swgemm compile --print-after all           # IR snapshot after each pass
     swgemm compile --print-after dma-derivation
-    swgemm compile --disable-pass latency-hiding   # == the §8.1 ablation
+    swgemm compile --schedule=off              # the §8.1 no-hiding ablation
     swgemm compile --dump-ir irdir             # one snapshot file per pass
 
 plus the compilation-service surface::
@@ -238,35 +238,46 @@ def _validate_cache_dir(args, write: bool = True) -> None:
 
 
 def _spec_and_options(args):
-    from repro.core.options import CompilerOptions
+    from repro.core.options import coerce_options
     from repro.frontend import extract_spec
 
     source = _load_source(args.source) if getattr(args, "source", None) else DEFAULT_GEMM_C
     spec, inferred = extract_spec(source, return_options=True)
-    if args.no_use_asm or args.no_rma or args.no_hiding:
-        options = CompilerOptions(
-            batch=args.batch,
-            use_asm=not args.no_use_asm,
-            enable_rma=not args.no_rma,
-            enable_latency_hiding=not (args.no_hiding or args.no_use_asm),
-        )
-    else:
-        options = inferred
-    if getattr(args, "no_verify", False):
-        options = options.with_(verify=False)
-    options = _apply_micro_kernel(args, options)
-    options = _apply_schedule(args, options)
-    return spec, options
+    return spec, coerce_options(inferred, _option_overrides(args))
 
 
-def _apply_schedule(args, options):
-    """Fold ``--schedule`` / ``--schedule-passes`` into an option set.
+def _option_overrides(args) -> dict:
+    """The option flags as keyword overrides for
+    :func:`repro.core.options.coerce_options` — the facade's and the
+    wire's translation — applied on top of what the source implies."""
+    overrides = {}
+    if args.batch:
+        overrides["batch"] = True
+    if args.no_use_asm:
+        overrides["use_asm"] = False
+    if args.no_rma:
+        overrides["enable_rma"] = False
+    if args.no_verify:
+        overrides["verify"] = False
+    if getattr(args, "micro_kernel", None):
+        cfg, backend = _parse_micro_kernel(args.micro_kernel)
+        if cfg is not None:
+            overrides["tile_config"] = cfg
+        if backend is not None:
+            overrides["kernel_backend"] = backend
+    policy = _schedule_policy(args)
+    if policy is not None:
+        overrides["schedule"] = policy
+    return overrides
+
+
+def _schedule_policy(args):
+    """``--schedule`` / ``--schedule-passes`` as a policy (or ``None``).
 
     ``recipe`` pins the fixed §6 pipeline, ``optimize`` layers the
-    replay-proven rewrite stack on top of it, ``off`` is the structured
-    spelling of the deprecated ``--no-hiding``.  Reconciliation
-    canonicalises the policy (and drops it when it cannot run), so the
-    cache key only ever sees the normal form.
+    replay-proven rewrite stack on top of it, ``off`` disables latency
+    hiding.  Reconciliation canonicalises the policy (and drops it when
+    it cannot run), so the cache key only ever sees the normal form.
     """
     from repro.core.options import SchedulePolicy
     from repro.errors import ConfigurationError
@@ -278,41 +289,19 @@ def _apply_schedule(args, options):
             "--schedule-passes only applies to --schedule=optimize"
         )
     if mode is None:
-        return options
-    if mode == "optimize" and (
-        getattr(args, "no_hiding", False) or getattr(args, "no_use_asm", False)
-    ):
+        return None
+    if mode == "optimize" and getattr(args, "no_use_asm", False):
         raise ConfigurationError(
             "--schedule=optimize rewrites the latency-hiding pipeline and "
-            "cannot be combined with --no-hiding / --no-use-asm"
+            "cannot be combined with --no-use-asm"
         )
-    allow = ()
-    if passes:
-        allow = tuple(p.strip() for p in passes.split(",") if p.strip())
-    policy = SchedulePolicy(mode=mode, allow=allow)
-    if mode == "off":
-        options = options.with_(enable_latency_hiding=False)
-    return options.with_(schedule=policy)
-
-
-def _apply_micro_kernel(args, options):
-    """Fold a ``--micro-kernel`` request into an option set."""
-    value = getattr(args, "micro_kernel", None)
-    if not value:
-        return options
-    cfg, backend = _parse_micro_kernel(value)
-    if cfg is not None:
-        options = options.with_(tile_config=cfg)
-    if backend is not None:
-        options = options.with_(kernel_backend=backend)
-    return options
+    allow = tuple(p.strip() for p in (passes or "").split(",") if p.strip())
+    return SchedulePolicy(mode=mode, allow=allow)
 
 
 def _introspection_requested(args) -> bool:
     return bool(
-        getattr(args, "print_after", None)
-        or getattr(args, "disable_pass", None)
-        or getattr(args, "dump_ir", None)
+        getattr(args, "print_after", None) or getattr(args, "dump_ir", None)
     )
 
 
@@ -320,15 +309,11 @@ def _build_introspected(args, spec, options) -> "CompiledProgram":
     """Direct (cache-bypassing) compile with pass-level introspection.
 
     Snapshots live on the compile context, not on cached artifacts, so
-    ``--print-after`` / ``--dump-ir`` always run the real pipeline;
-    ``--disable-pass`` rides along for the same bit-exact guarantee.
+    ``--print-after`` / ``--dump-ir`` always run the real pipeline.
     """
     from repro.core.pipeline import GemmCompiler
 
-    compiler = GemmCompiler(
-        _arch_from_args(args), options,
-        disable_passes=tuple(args.disable_pass or ()),
-    )
+    compiler = GemmCompiler(_arch_from_args(args), options)
 
     def sink(pass_, header, snapshot):
         print(header)
@@ -442,10 +427,7 @@ def cmd_passes_list(args) -> int:
     from repro.core.pipeline import GemmCompiler
 
     spec, options = _spec_and_options(args)
-    compiler = GemmCompiler(
-        _arch_from_args(args), options,
-        disable_passes=tuple(args.disable_pass or ()),
-    )
+    compiler = GemmCompiler(_arch_from_args(args), options)
     passes = compiler.pipeline_for(spec)
     effective = compiler.effective_options(spec)
     print(
@@ -543,23 +525,10 @@ def cmd_tune(args) -> int:
     else:
         # No source: let the tuner pick the (possibly batched) default
         # spec for --batch-count, honoring any explicit knob flags.
-        spec, options = None, None
-        if args.no_use_asm or args.no_rma or args.no_hiding:
-            from repro.core.options import CompilerOptions
+        from repro.core.options import CompilerOptions, coerce_options
 
-            options = CompilerOptions.full().with_(
-                use_asm=not args.no_use_asm,
-                enable_rma=not args.no_rma,
-                enable_latency_hiding=not (args.no_hiding or args.no_use_asm),
-            )
-        if getattr(args, "micro_kernel", None):
-            from repro.core.options import CompilerOptions
-
-            options = _apply_micro_kernel(args, options or CompilerOptions.full())
-        if getattr(args, "schedule", None):
-            from repro.core.options import CompilerOptions
-
-            options = _apply_schedule(args, options or CompilerOptions.full())
+        spec = None
+        options = coerce_options(CompilerOptions.full(), _option_overrides(args))
     result = api.tune(
         spec,
         shape=(args.M, args.N, args.K, args.batch_count),
@@ -874,9 +843,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bypass the inline assembly kernel")
         p.add_argument("--no-rma", action="store_true",
                        help="disable RMA broadcasts")
-        p.add_argument("--no-hiding", action="store_true",
-                       help="disable memory latency hiding (deprecated: "
-                       "use --schedule=off)")
         p.add_argument(
             "--schedule", choices=("recipe", "optimize", "off"),
             default=None, metavar="MODE",
@@ -894,23 +860,17 @@ def build_parser() -> argparse.ArgumentParser:
                        help="skip the admission verifier (escape hatch; "
                        "generated code is bit-exact either way)")
 
-    def add_introspection(p, with_snapshots=True):
+    def add_introspection(p):
         p.add_argument(
-            "--disable-pass", action="append", metavar="PASS",
-            help="disable a pipeline pass (repeatable; e.g. latency-hiding, "
-            "rma-derivation) — rebuilds the matching ablation pipeline",
+            "--print-after", action="append", metavar="PASS",
+            help="print the IR snapshot after the named pass "
+            "(repeatable; 'all' prints every pass; bypasses the cache)",
         )
-        if with_snapshots:
-            p.add_argument(
-                "--print-after", action="append", metavar="PASS",
-                help="print the IR snapshot after the named pass "
-                "(repeatable; 'all' prints every pass; bypasses the cache)",
-            )
-            p.add_argument(
-                "--dump-ir", metavar="DIR",
-                help="write one numbered IR snapshot file per pass to DIR "
-                "(bypasses the cache)",
-            )
+        p.add_argument(
+            "--dump-ir", metavar="DIR",
+            help="write one numbered IR snapshot file per pass to DIR "
+            "(bypasses the cache)",
+        )
 
     p_compile = sub.add_parser(
         "compile", help="generate athread C files", parents=[shared]
@@ -949,7 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[shared],
     )
     add_common(p_passes_list)
-    add_introspection(p_passes_list, with_snapshots=False)
     p_passes_list.set_defaults(func=cmd_passes_list)
 
     p_run = sub.add_parser(

@@ -17,22 +17,25 @@ from repro.core.dma import DmaSpec
 from repro.core.rma import RmaSpec
 from repro.codegen.backend import resolve_kernel
 from repro.poly.affine import AffExpr, aff_var
-from repro.poly.astgen import ScanContext
+from repro.poly.astgen import AstGenerator, ScanContext
 from repro.poly.astnodes import (
     AffRef,
     ArrayRef,
     BinExpr,
     Block,
     BlockOpStmt,
+    BufferDecl,
     CommStmt,
+    CpeProgram,
     IfStmt,
     IntLit,
     KernelCall,
     NaiveComputeStmt,
+    ReplyDecl,
     Stmt,
     VarRef,
 )
-from repro.poly.schedule_tree import ExtensionStmt, MarkNode
+from repro.poly.schedule_tree import ExtensionStmt, MarkNode, ScheduleNode
 
 MICRO_KERNEL_MARK = "micro_kernel"
 
@@ -254,3 +257,40 @@ def _arch_of(dec: Decomposition):
     if dec.arch is None:
         raise CodegenError("decomposition is missing its architecture reference")
     return dec.arch
+
+
+def lower_program(
+    dec: Decomposition,
+    root: ScheduleNode,
+    dma_specs: Dict[str, DmaSpec],
+    rma_specs: Optional[Dict[str, RmaSpec]],
+) -> CpeProgram:
+    """Scan ``root`` into the CPE program for this decomposition.
+
+    The lowering reads only the decomposition's spec, plan, options and
+    arch — never ``dec.root`` — so the AST-generation pass (lowering the
+    installed tree) and schedule-rewrite admission (lowering a candidate
+    clone) get exactly the same program for the same tree.
+    """
+    lowering = GemmLowering(dec)
+    body = AstGenerator(lowering).generate(root, dec.spec.param_names())
+    ctype = "double" if dec.spec.dtype == "float64" else "float"
+    return CpeProgram(
+        buffers=[BufferDecl(b.name, b.shape, ctype) for b in dec.plan.buffers],
+        replies=_reply_decls(dec, dma_specs, rma_specs),
+        body=body,
+        kernel_name=lowering.kernel.name,
+    )
+
+
+def _reply_decls(dec, dma_specs, rma_specs) -> List[ReplyDecl]:
+    slots = 2 if dec.plan.double_buffered else 1
+    decls: Dict[str, ReplyDecl] = {}
+    for spec in dma_specs.values():
+        count = slots if spec.reply not in ("get_replyC", "put_replyC") else 1
+        decls[spec.reply] = ReplyDecl(spec.reply, count)
+    if rma_specs:
+        for spec in rma_specs.values():
+            decls[spec.replys] = ReplyDecl(spec.replys, slots)
+            decls[spec.replyr] = ReplyDecl(spec.replyr, slots)
+    return list(decls.values())

@@ -11,8 +11,8 @@ green bars — and the fusion modes of §7.3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.faults import FaultPolicy, RetryPolicy
@@ -102,7 +102,7 @@ ELEMENTWISE_FUNCS = ("quant", "relu", "sigmoid", "tanh", "identity")
 
 #: Schedule policy modes: "recipe" pins the fixed §6 pipeline, "optimize"
 #: runs the schedule rewrite stack over it, "off" disables latency hiding
-#: entirely (the structured spelling of the legacy ``--no-hiding``).
+#: entirely (the §8.1 no-hiding ablation).
 SCHEDULE_MODES = ("recipe", "optimize", "off")
 
 #: The schedule rewrites, in canonical application order.  Defined here —
@@ -320,3 +320,38 @@ class CompilerOptions:
 
     def with_(self, **overrides) -> "CompilerOptions":
         return replace(self, **overrides)
+
+
+_OPTION_FIELDS = frozenset(f.name for f in fields(CompilerOptions))
+
+
+def coerce_options(
+    options: Optional[CompilerOptions], overrides: Mapping[str, Any]
+) -> CompilerOptions:
+    """``options`` (default: :class:`CompilerOptions`) with user overrides.
+
+    The one translation from user input to an option set: the facade's
+    keyword overrides, the daemon's wire params and the CLI's flags all
+    come through here.  Unknown names are rejected; ``schedule`` accepts
+    anything :meth:`SchedulePolicy.parse` does.  Turning off the asm
+    kernel or asking for ``schedule="off"`` derives latency hiding off
+    (the pipeline only exists around the fast kernel) unless the caller
+    set ``enable_latency_hiding`` explicitly.
+    """
+    unknown = set(overrides) - _OPTION_FIELDS
+    if unknown:
+        raise ConfigurationError(
+            f"unknown compiler option(s) {sorted(unknown)}; valid options "
+            f"are {sorted(_OPTION_FIELDS)}"
+        )
+    overrides = dict(overrides)
+    if "schedule" in overrides:
+        overrides["schedule"] = SchedulePolicy.parse(overrides["schedule"])
+    policy = overrides.get("schedule")
+    if "enable_latency_hiding" not in overrides and (
+        overrides.get("use_asm") is False
+        or (policy is not None and policy.mode == "off")
+    ):
+        overrides["enable_latency_hiding"] = False
+    base = options or CompilerOptions()
+    return base.with_(**overrides) if overrides else base

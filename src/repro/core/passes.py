@@ -17,11 +17,6 @@ one opaque ``compile`` function:
   structured :class:`~repro.core.diagnostics.PassDiagnostic` records;
 * :func:`pipeline_identity` hashes the pass list so the compilation
   service's cache keys change whenever the pipeline changes.
-
-Disabling a pass is an *options rewrite* followed by a pipeline rebuild:
-``--disable-pass latency-hiding`` yields exactly the compiler the §8.1
-no-hiding ablation uses, bit for bit, because both construct the same
-effective option set and therefore the same pipeline.
 """
 
 from __future__ import annotations
@@ -41,10 +36,9 @@ from repro.core.decomposition import (
 from repro.core.diagnostics import PassDiagnostic, PassStat
 from repro.core.dma import DmaSpec, derive_dma_specs
 from repro.core.latency_hiding import insert_communication
-from repro.core.lowering import MICRO_KERNEL_MARK, GemmLowering
+from repro.core.lowering import MICRO_KERNEL_MARK, lower_program
 from repro.core.options import (
     ELEMENTWISE_FUNCS,
-    SCHEDULE_PASS_NAMES,
     CompilerOptions,
     SchedulePolicy,
 )
@@ -53,8 +47,7 @@ from repro.core.spec import GemmSpec
 from repro.core.tile_model import TilePlan, plan_for_kernel
 from repro.codegen.backend import resolve_kernel
 from repro.poly.affine import aff_const, aff_var
-from repro.poly.astgen import AstGenerator
-from repro.poly.astnodes import BufferDecl, CpeProgram, ReplyDecl, walk_stmts
+from repro.poly.astnodes import CpeProgram, walk_stmts
 from repro.poly.dependences import DependenceSummary, analyze_statement
 from repro.poly.schedule_tree import parent_map
 from repro.poly.transforms import insert_mark
@@ -357,7 +350,7 @@ class Pass:
     """One stage of the compiler, mapped to the paper section it
     reproduces."""
 
-    #: Stable identifier, used by ``--disable-pass`` / ``--print-after``.
+    #: Stable identifier, used by ``--print-after`` / ``--dump-ir``.
     name: str = "<unnamed>"
     #: Paper section ("§3", "§4", ...).
     section: str = "§?"
@@ -716,22 +709,14 @@ class AstGenerationPass(Pass):
 
     def run(self, ctx: CompileContext) -> None:
         dec = ctx.require(ctx.decomposition, "a decomposition")
-        dma_specs = ctx.require(ctx.dma_specs, "DMA specs")
-        lowering = GemmLowering(dec)
-        generator = AstGenerator(lowering)
-        body = generator.generate(dec.root, ctx.spec.param_names())
-        ctx.cpe_program = CpeProgram(
-            buffers=_buffer_decls(dec),
-            replies=_reply_decls(dec, dma_specs, ctx.rma_specs),
-            body=body,
-            kernel_name=resolve_kernel(
-                ctx.arch, ctx.options, dec.plan.kernel_shape
-            ).name,
+        program = ctx.cpe_program = lower_program(
+            dec, dec.root, ctx.require(ctx.dma_specs, "DMA specs"),
+            ctx.rma_specs,
         )
         ctx.info(
-            f"{sum(1 for _ in walk_stmts(body))} AST statements, "
-            f"{len(ctx.cpe_program.buffers)} buffer and "
-            f"{len(ctx.cpe_program.replies)} reply declarations"
+            f"{sum(1 for _ in walk_stmts(program.body))} AST statements, "
+            f"{len(program.buffers)} buffer and "
+            f"{len(program.replies)} reply declarations"
         )
 
 
@@ -771,69 +756,9 @@ class VerificationPass(Pass):
         admit(report)
 
 
-def _buffer_decls(dec: Decomposition) -> List[BufferDecl]:
-    ctype = "double" if dec.spec.dtype == "float64" else "float"
-    return [BufferDecl(b.name, b.shape, ctype) for b in dec.plan.buffers]
-
-
-def _reply_decls(dec, dma_specs, rma_specs) -> List[ReplyDecl]:
-    slots = 2 if dec.plan.double_buffered else 1
-    decls: Dict[str, ReplyDecl] = {}
-    for spec in dma_specs.values():
-        count = slots if spec.reply not in ("get_replyC", "put_replyC") else 1
-        decls[spec.reply] = ReplyDecl(spec.reply, count)
-    if rma_specs:
-        for spec in rma_specs.values():
-            decls[spec.replys] = ReplyDecl(spec.replys, slots)
-            decls[spec.replyr] = ReplyDecl(spec.replyr, slots)
-    return list(decls.values())
-
-
 # ---------------------------------------------------------------------------
 # Pipeline construction
 # ---------------------------------------------------------------------------
-
-#: ``--disable-pass`` is an options rewrite + rebuild, which is what makes
-#: the disabled pipeline *identical* to the corresponding §8.1 ablation.
-DISABLE_REWRITES: Dict[str, Dict[str, object]] = {
-    LatencyHidingPass.name: {"enable_latency_hiding": False},
-    RmaDerivationPass.name: {"enable_rma": False},
-    VerificationPass.name: {"verify": False},
-}
-
-
-def apply_disabled_passes(
-    options: CompilerOptions, disabled: Sequence[str]
-) -> CompilerOptions:
-    """Rewrite ``options`` so the default pipeline omits each pass."""
-    for name in disabled:
-        if name.startswith("schedule:"):
-            rewrite_name = name.split(":", 1)[1]
-            if rewrite_name not in SCHEDULE_PASS_NAMES:
-                raise ConfigurationError(
-                    f"unknown schedule rewrite {rewrite_name!r}; known: "
-                    f"{', '.join(SCHEDULE_PASS_NAMES)}"
-                )
-            policy = options.schedule
-            if policy is not None and policy.mode == "optimize":
-                deny = tuple(dict.fromkeys(policy.deny + (rewrite_name,)))
-                options = options.with_(
-                    schedule=SchedulePolicy(
-                        mode="optimize", allow=policy.allow, deny=deny
-                    )
-                )
-            # Without an optimize policy the pass is not scheduled at
-            # all — disabling it is already satisfied.
-            continue
-        rewrite = DISABLE_REWRITES.get(name)
-        if rewrite is None:
-            raise ConfigurationError(
-                f"pass {name!r} cannot be disabled; disableable passes: "
-                f"{sorted(DISABLE_REWRITES)} and schedule:<rewrite>"
-            )
-        options = options.with_(**rewrite)
-    return options
-
 
 def build_pipeline(
     spec: GemmSpec,

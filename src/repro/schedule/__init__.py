@@ -33,7 +33,6 @@ from repro.schedule.passes import (
     RewriteOutcome,
     apply_rewrite,
     check_legal,
-    lower_root,
 )
 from repro.schedule.search import greedy_pass_order, simulated_evaluator
 
@@ -51,7 +50,6 @@ __all__ = [
     "RewriteOutcome",
     "apply_rewrite",
     "check_legal",
-    "lower_root",
     "greedy_pass_order",
     "simulated_evaluator",
 ]

@@ -292,30 +292,6 @@ class RewriteOutcome:
     proven: bool = False
 
 
-def lower_root(dec, root, dma_specs, rma_specs, arch):
-    """Lower an arbitrary schedule-tree root for this decomposition.
-
-    The lowering delegate reads only the decomposition's spec, plan,
-    options and arch — never ``dec.root`` — so candidate clones lower
-    exactly like the installed tree."""
-    # Lazy: core.passes imports this package at module level.
-    from repro.codegen.backend import resolve_kernel
-    from repro.core.lowering import GemmLowering
-    from repro.core.passes import _buffer_decls, _reply_decls
-    from repro.poly.astgen import AstGenerator
-    from repro.poly.astnodes import CpeProgram
-
-    body = AstGenerator(GemmLowering(dec)).generate(
-        root, dec.spec.param_names()
-    )
-    return CpeProgram(
-        buffers=_buffer_decls(dec),
-        replies=_reply_decls(dec, dma_specs, rma_specs),
-        body=body,
-        kernel_name=resolve_kernel(arch, dec.options, dec.plan.kernel_shape).name,
-    )
-
-
 def check_legal(dec, cpe_program, arch) -> Optional[str]:
     """Replay + SPM re-check; ``None`` when legal, else the refusal."""
     from repro.verify import replay_schedule
@@ -360,7 +336,10 @@ def apply_rewrite(dec, name, dma_specs, rma_specs, arch) -> RewriteOutcome:
     if not rewrite.fn(timeline):
         return RewriteOutcome(name, applied=False, reason="no opportunity")
     materialize(timeline)
-    candidate = lower_root(dec, clone, dma_specs, rma_specs, arch)
+    # Lazy: core.passes imports this package at module level.
+    from repro.core.lowering import lower_program
+
+    candidate = lower_program(dec, clone, dma_specs, rma_specs)
     refusal = check_legal(dec, candidate, arch)
     if refusal is not None:
         return RewriteOutcome(name, applied=False, reason=refusal)

@@ -65,17 +65,44 @@ def _peak_rss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _worker_main(conn) -> None:
+#: How often a worker checks that the daemon that forked it is alive.
+PARENT_POLL_S = 0.25
+
+
+def _exit_with_parent(parent_pid: int) -> None:
+    """Exit this worker as soon as ``parent_pid`` is no longer its parent.
+
+    A daemon killed with ``SIGKILL`` never runs its shutdown path, and a
+    forked worker holds its siblings' parent-side pipe ends, so its own
+    ``recv()`` never sees EOF — and a worker stuck in a job (a simulated
+    hang, a slow pass) is not reading at all.  A watcher thread polling
+    the parent pid catches both: once the daemon dies the worker is
+    re-parented and exits within one poll interval.
+    """
+
+    def watch() -> None:
+        while os.getppid() == parent_pid:
+            time.sleep(PARENT_POLL_S)
+        os._exit(0)
+
+    threading.Thread(
+        target=watch, name="swgemm-parent-watch", daemon=True
+    ).start()
+
+
+def _worker_main(conn, parent_pid: int) -> None:
     """Worker-subprocess loop: recv pickled job, compile, send result.
 
     Clean compiler failures are reported structurally (exception type +
     message) so the parent re-raises them without striking the key.
     ``SystemExit``/``KeyboardInterrupt`` intentionally propagate — they
     kill the worker, which is exactly the crash the parent must contain.
+    The worker exits on its own when the daemon dies.
     """
     from repro.core.pipeline import GemmCompiler
     from repro.faults import FaultInjector
 
+    _exit_with_parent(parent_pid)
     while True:
         try:
             job = conn.recv()
@@ -283,7 +310,7 @@ class _Worker:
         parent_conn, child_conn = ctx.Pipe()
         self.proc = ctx.Process(
             target=_worker_main,
-            args=(child_conn,),
+            args=(child_conn, os.getpid()),
             name=f"swgemm-isolated-{serial}",
             daemon=True,
         )

@@ -307,7 +307,7 @@ KNOWN_PARAM_KEYS = frozenset(_OPTION_KEYS) | {
 def spec_and_options(params: Dict[str, Any]):
     """Kernel params → ``(GemmSpec, CompilerOptions, ArchSpec)``.
 
-    The option path reuses :func:`repro.api._coerce_options`, so the
+    The option path is :func:`repro.core.options.coerce_options`, so the
     wire surface inherits the facade's semantics exactly (unknown knobs
     rejected, ``use_asm=False`` derives latency hiding off).  Fault
     injection rides along per request: either the ``fault`` shorthand
@@ -315,8 +315,7 @@ def spec_and_options(params: Dict[str, Any]):
     or a full ``fault_policy`` / ``retry_policy`` object as produced by
     :meth:`repro.faults.FaultPolicy.to_dict`.
     """
-    from repro.api import _coerce_options
-    from repro.core.options import TileConfig
+    from repro.core.options import TileConfig, coerce_options
     from repro.core.spec import GemmSpec
     from repro.faults import FaultPolicy, RetryPolicy
 
@@ -367,7 +366,7 @@ def spec_and_options(params: Dict[str, Any]):
     if "retry_policy" in params:
         overrides["retry_policy"] = RetryPolicy.from_dict(params["retry_policy"])
     try:
-        options = _coerce_options(None, overrides)
+        options = coerce_options(None, overrides)
     except ConfigurationError as exc:
         raise ProtocolError(str(exc)) from exc
     fusion = options.fusion

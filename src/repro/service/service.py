@@ -252,19 +252,6 @@ class CompileService:
                 return True
         return self._store is not None and self._store.path_for(key).exists()
 
-    def compile(
-        self,
-        spec: GemmSpec,
-        arch: Optional[ArchSpec] = None,
-        options: Optional[CompilerOptions] = None,
-        timeout_s: Optional[float] = None,
-        shape_hint: Optional[Tuple[int, ...]] = None,
-    ) -> CompiledProgram:
-        """Alias of :meth:`get_program` (the KernelService verb)."""
-        return self.get_program(
-            spec, arch, options, timeout_s=timeout_s, shape_hint=shape_hint
-        )
-
     def set_compile_fn(self, compile_fn: CompileFn) -> None:
         """Swap the compile function behind the cache/single-flight stack.
 
@@ -646,27 +633,6 @@ class CompileService:
     def _flush_persistent(self, deltas: Dict[str, float]) -> None:
         if self._store is not None:
             self._store.bump_persistent_stats(deltas)
-
-
-class KernelService(CompileService):
-    """Deprecated name of :class:`CompileService`.
-
-    Kept as a warning subclass (not a bare alias): existing constructor
-    call sites keep working — instances remain ``CompileService``s in
-    every ``isinstance`` sense — but each construction warns once with
-    the migration hint while the codebase moves to :mod:`repro.api`.
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        import warnings
-
-        warnings.warn(
-            "KernelService is deprecated; construct CompileService or use "
-            "the repro.api facade (api.compile / api.tune)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)
 
 
 # ---------------------------------------------------------------------------

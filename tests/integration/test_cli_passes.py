@@ -1,10 +1,16 @@
-"""The pass-pipeline introspection surface of the swgemm CLI:
-``swgemm passes list``, ``--print-after``, ``--dump-ir``,
-``--disable-pass``."""
+"""The pass-pipeline introspection surface of the swgemm CLI —
+``swgemm passes list``, ``--print-after``, ``--dump-ir`` — and the
+option flags every subcommand translates through the facade's
+coercion."""
 
 import pytest
 
+from repro import CompileService, ServiceConfig, api, cache_key
 from repro.cli import main
+from repro.core import CompilerOptions, GemmSpec
+from repro.core.pipeline import GemmCompiler
+from repro.frontend import extract_spec
+from repro.sunway.arch import SW26010PRO
 
 BATCHED_GEMM_C = """\
 void bgemm(int BS, int M, int N, int K, double A[BS][M][K],
@@ -14,6 +20,19 @@ void bgemm(int BS, int M, int N, int K, double A[BS][M][K],
       for (int j = 0; j < N; j++)
         for (int k = 0; k < K; k++)
           C[b][i][j] += A[b][i][k] * B[b][k][j];
+}
+"""
+
+EPILOGUE_GEMM_C = """\
+void gemm(int M, int N, int K, double alpha,
+          double A[M][K], double B[K][N], double C[M][N]) {
+  for (int i = 0; i < M; i++)
+    for (int j = 0; j < N; j++)
+      for (int k = 0; k < K; k++)
+        C[i][j] = C[i][j] + alpha * A[i][k] * B[k][j];
+  for (int i = 0; i < M; i++)
+    for (int j = 0; j < N; j++)
+      C[i][j] = sigmoid(C[i][j]);
 }
 """
 
@@ -53,7 +72,11 @@ def test_passes_list_variants(tmp_path, capsys):
     assert "+batch" in out or "batch" in out
     assert main(["passes", "list", "--no-rma"]) == 0
     assert "rma-derivation" not in capsys.readouterr().out
-    assert main(["passes", "list", "--disable-pass", "latency-hiding"]) == 0
+    # Flags edit the options the source implies; they never drop them.
+    assert main(["passes", "list", str(src), "--no-rma"]) == 0
+    out = capsys.readouterr().out
+    assert "batch-isolation" in out and "rma-derivation" not in out
+    assert main(["passes", "list", "--schedule=off"]) == 0
     out = capsys.readouterr().out
     assert "latency-hiding" not in out
     assert "communication-schedule" in out
@@ -113,23 +136,48 @@ def test_dump_ir_writes_one_file_per_pass(tmp_path):
             assert "--- schedule tree ---" in path.read_text()
 
 
-def test_disable_pass_matches_ablation_byte_exactly(tmp_path):
-    """``--disable-pass latency-hiding`` and ``--no-hiding`` must write
-    byte-identical outputs (§8.1 ablation equivalence)."""
-    a = tmp_path / "disabled"
-    b = tmp_path / "ablation"
-    assert main(
-        ["compile", "-o", str(a), "--disable-pass", "latency-hiding"]
-    ) == 0
-    assert main(["compile", "-o", str(b), "--no-hiding"]) == 0
-    assert read_tree(a) == read_tree(b)
+def test_schedule_off_matches_ablation_byte_exactly(tmp_path):
+    """``--schedule=off`` writes exactly the §8.1 no-hiding ablation
+    (:meth:`CompilerOptions.with_rma`), byte for byte."""
+    out = tmp_path / "off"
+    assert main(["compile", "-o", str(out), "--schedule=off"]) == 0
+    ablation = GemmCompiler(SW26010PRO, CompilerOptions.with_rma()).compile(
+        GemmSpec()
+    )
+    assert read_tree(out) == {
+        "gemm_cpe.c": ablation.cpe_source(),
+        "gemm_mpe.c": ablation.mpe_source(),
+    }
 
 
-def test_disable_unknown_pass_fails(tmp_path):
-    out = tmp_path / "out"
-    assert main(
-        ["compile", "-o", str(out), "--disable-pass", "dma-derivation"]
-    ) != 0
+@pytest.mark.parametrize(
+    "source", [BATCHED_GEMM_C, EPILOGUE_GEMM_C], ids=["batched", "epilogue"]
+)
+@pytest.mark.parametrize(
+    "flag, override",
+    [("--no-rma", {"enable_rma": False}), ("--no-use-asm", {"use_asm": False})],
+    ids=["no-rma", "no-use-asm"],
+)
+def test_option_flags_match_the_facade_cache_key(tmp_path, source, flag, override):
+    """A CLI flag on a batched or fused source compiles, under the key
+    the facade gives the same source and override: both translate
+    through one coercion on top of the options the source implies."""
+    src = tmp_path / "gemm.c"
+    src.write_text(source)
+    cache = tmp_path / "cache"
+    assert main([
+        "--cache-dir", str(cache), "compile", str(src), flag,
+        "-o", str(tmp_path / "out"),
+    ]) == 0
+    cli_keys = {
+        path.stem for path in cache.rglob("*.json") if len(path.stem) == 64
+    }
+    spec, inferred = extract_spec(source, return_options=True)
+    program = api.compile(
+        spec, options=inferred,
+        service=CompileService(ServiceConfig(enabled=False)), **override,
+    )
+    assert cli_keys == {cache_key(spec, SW26010PRO, program.options)}
 
 
 def test_tree_supports_print_after(capsys):

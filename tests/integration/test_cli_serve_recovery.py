@@ -21,6 +21,8 @@ import threading
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.serve.journal import scan_segments
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src")
@@ -163,3 +165,79 @@ def test_kill9_daemon_replays_journal_and_keeps_acked_work(tmp_path):
     # Nothing left to replay: a third boot would start clean.
     pending, _ = scan_segments(tmp_path / "journal")
     assert pending == {}
+
+
+def _children(pid):
+    """Live child pids of ``pid``, read from /proc."""
+    kids = []
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit() and _ppid_and_state(int(entry.name))[0] == pid:
+            kids.append(int(entry.name))
+    return kids
+
+
+def _ppid_and_state(pid):
+    """``(ppid, state)`` of ``pid``; ``(None, None)`` once it is gone."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return None, None
+    # The command name may contain spaces and parentheses; the fields
+    # after the last ")" are fixed: state, ppid, ...
+    state, ppid = stat.rsplit(")", 1)[1].split()[:2]
+    return int(ppid), state
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/stat").exists(), reason="needs Linux /proc"
+)
+def test_kill9_daemon_leaves_no_orphan_workers(tmp_path):
+    """A SIGKILLed daemon runs no shutdown path, so its isolation
+    workers — one wedged in a 120 s hang, one idle in ``recv()`` — must
+    notice on their own that their parent is gone and exit."""
+    from repro import connect
+
+    process, info = _boot_daemon(
+        tmp_path, "ready.json", "--worker-deadline", "120"
+    )
+    workers = _children(process.pid)
+    try:
+        assert len(workers) == 2
+
+        def wedge():
+            try:
+                with connect(_address(info), tenant="wedged") as victim:
+                    victim.compile(HANG_PARAMS)
+            except Exception:
+                pass  # the SIGKILL below severs this connection
+
+        hang = threading.Thread(target=wedge, daemon=True)
+        hang.start()
+        with connect(_address(info), tenant="probe") as probe:
+            deadline = time.monotonic() + 30.0
+            while probe.stats()["server"]["counters"]["journaled"] < 1:
+                assert time.monotonic() < deadline, "hang never journaled"
+                time.sleep(0.05)
+        time.sleep(0.5)  # let the hang job reach its worker
+
+        os.kill(process.pid, signal.SIGKILL)
+        process.wait(timeout=10.0)
+        hang.join(timeout=10.0)
+
+        deadline = time.monotonic() + 5.0
+        while True:
+            survivors = [
+                pid for pid in workers
+                if _ppid_and_state(pid)[1] not in (None, "Z")
+            ]
+            if not survivors or time.monotonic() > deadline:
+                break
+            time.sleep(0.1)
+        assert survivors == [], f"workers outlived the daemon: {survivors}"
+    finally:
+        if process.poll() is None:
+            process.kill()
+            process.wait(timeout=10.0)
+        for pid in workers:  # never leak a wedged worker past the test
+            if _ppid_and_state(pid)[1] not in (None, "Z"):
+                os.kill(pid, signal.SIGKILL)

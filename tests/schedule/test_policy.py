@@ -170,12 +170,12 @@ def test_recipe_pipeline_has_no_schedule_passes():
 
 
 def test_disable_pass_maps_into_policy_deny():
+    """A schedule rewrite is disabled by denying it in the policy."""
     compiler = GemmCompiler(
         SW26010PRO,
         CompilerOptions.full().with_(
-            schedule=SchedulePolicy(mode="optimize")
+            schedule=SchedulePolicy(mode="optimize", deny=("retire-waits",))
         ),
-        disable_passes=("schedule:retire-waits",),
     )
     names = [p.name for p in compiler.pipeline_for(GemmSpec())]
     assert "schedule:retire-waits" not in names

@@ -17,6 +17,7 @@ import itertools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.lowering import lower_program
 from repro.core.options import SCHEDULE_PASS_NAMES
 from repro.poly.schedule_tree import clone_tree
 from repro.schedule import (
@@ -24,7 +25,6 @@ from repro.schedule import (
     apply_rewrite,
     check_legal,
     extract_timeline,
-    lower_root,
     materialize,
 )
 from repro.sunway.arch import TOY_ARCH
@@ -54,7 +54,7 @@ def test_every_composition_preserves_machine_acceptance_and_spm_slack(
             assert outcome.reason
     # The final installed tree — whatever was admitted — lowers to a
     # machine-accepted, SPM-feasible program.
-    candidate = lower_root(dec, dec.root, dma, rma, arch)
+    candidate = lower_program(dec, dec.root, dma, rma)
     assert check_legal(dec, candidate, arch) is None
 
 

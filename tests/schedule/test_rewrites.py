@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core import CompilerOptions, GemmSpec
+from repro.core.lowering import lower_program
 from repro.core.options import SCHEDULE_PASS_NAMES
 from repro.errors import CompilationError
 from repro.schedule import (
@@ -10,7 +11,6 @@ from repro.schedule import (
     apply_rewrite,
     check_legal,
     extract_timeline,
-    lower_root,
 )
 from repro.sunway.arch import SW26010PRO
 
@@ -40,7 +40,7 @@ def test_rewrite_applies_and_is_proven_on_the_recipe(toy_context, name):
     assert outcome.applied and outcome.proven
     assert dec.root.dump() != before
     # The installed tree lowers and replays clean on its own.
-    candidate = lower_root(dec, dec.root, dma, rma, arch)
+    candidate = lower_program(dec, dec.root, dma, rma)
     assert check_legal(dec, candidate, arch) is None
 
 

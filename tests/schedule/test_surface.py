@@ -1,5 +1,5 @@
 """The schedule policy across the public surfaces: facade, wire
-protocol, CLI and the deprecation shim."""
+protocol and CLI."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,7 @@ import repro
 from repro import api
 from repro.cli import main
 from repro.core import CompilerOptions, GemmSpec
-from repro.core.options import SchedulePolicy
+from repro.core.options import SchedulePolicy, coerce_options
 from repro.errors import ConfigurationError
 from repro.serve.protocol import ProtocolError, spec_and_options
 from repro.service import CompileService, ServiceConfig
@@ -98,24 +98,22 @@ def test_wire_rejects_bad_schedule_as_protocol_error(bad):
         spec_and_options({"arch": "toy", "schedule": bad})
 
 
-# -- deprecation shim ------------------------------------------------------
+# -- one coercion ------------------------------------------------------------
 
 
-def test_hiding_options_shim_warns_and_maps_bit_exactly():
-    from repro.compat import hiding_options
+def test_schedule_spellings_map_bit_exactly():
+    """``schedule="recipe"`` / ``"off"`` restate the latency-hiding bit:
+    through the one coercion they address exactly its cache keys."""
     from repro.service.keys import cache_key
 
     spec = GemmSpec()
-    with pytest.deprecated_call():
-        on = hiding_options(True)
-    with pytest.deprecated_call():
-        off = hiding_options(False)
-    assert cache_key(spec, options=on) == cache_key(
-        spec, options=CompilerOptions.full()
-    )
+    full = CompilerOptions.full()
+    on = coerce_options(full, {"schedule": "recipe"})
+    off = coerce_options(full, {"schedule": "off"})
+    assert not off.enable_latency_hiding
+    assert cache_key(spec, options=on) == cache_key(spec, options=full)
     assert cache_key(spec, options=off) == cache_key(
-        spec,
-        options=CompilerOptions.full().with_(enable_latency_hiding=False),
+        spec, options=full.with_(enable_latency_hiding=False)
     )
 
 
@@ -149,7 +147,8 @@ def test_cli_schedule_passes_filters_the_stack(capsys):
 
 
 def test_cli_rejects_optimize_with_no_hiding(capsys):
-    assert main(["passes", "list", "--schedule=optimize", "--no-hiding"]) == 1
+    # --no-use-asm derives latency hiding off: nothing left to optimize.
+    assert main(["passes", "list", "--schedule=optimize", "--no-use-asm"]) == 1
     err = capsys.readouterr().err
     assert "--schedule=optimize" in err
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import api
 from repro.core import CompilerOptions, GemmSpec
 from repro.core.options import TileConfig
 from repro.service import CompileService, ServiceConfig
@@ -93,3 +94,17 @@ def test_memory_only_service_has_a_working_store():
     service = CompileService(ServiceConfig(enabled=False))
     assert service.tuning_store.root is None
     assert service.tuning_store.keys() == []
+
+
+def test_schedule_off_is_not_steered(tuned_dir):
+    """``schedule="off"`` is the no-hiding ablation: a stated variant the
+    tuner must not override, however the facade spells it."""
+    cache_dir, _ = tuned_dir
+    service = CompileService(ServiceConfig(cache_dir=cache_dir))
+    program = api.compile(
+        GemmSpec(), arch=TOY_ARCH, shape=SHAPE, schedule="off",
+        service=service,
+    )
+    assert not program.options.enable_latency_hiding
+    assert program.plan.kernel_shape == TOY_ARCH.micro_kernel
+    assert service.tuning_lookups == 0
