@@ -308,26 +308,31 @@ def _introspection_requested(args) -> bool:
 def _build_introspected(args, spec, options) -> "CompiledProgram":
     """Direct (cache-bypassing) compile with pass-level introspection.
 
-    Snapshots live on the compile context, not on cached artifacts, so
-    ``--print-after`` / ``--dump-ir`` always run the real pipeline.
+    Snapshots are taken while the passes run, not stored on cached
+    artifacts, so ``--print-after`` / ``--dump-ir`` always run the real
+    pipeline.
     """
     from repro.core.pipeline import GemmCompiler
 
     compiler = GemmCompiler(_arch_from_args(args), options)
+    shown = list(args.print_after or ())
+    snapshots = {}
 
     def sink(pass_, header, snapshot):
-        print(header)
-        print(snapshot, end="")
+        snapshots[pass_.name] = snapshot
+        if "all" in shown or pass_.name in shown:
+            print(header)
+            print(snapshot, end="")
 
-    program, ctx = compiler.compile_with_context(
-        spec, print_after=args.print_after or None, sink=sink,
+    program, _ = compiler.compile_with_context(
+        spec, print_after=shown + (["all"] if args.dump_ir else []), sink=sink,
         timeout_s=getattr(args, "timeout", None),
     )
     if args.dump_ir:
         outdir = Path(args.dump_ir)
         outdir.mkdir(parents=True, exist_ok=True)
         count = 0
-        for index, (name, snapshot) in enumerate(ctx.snapshots.items(), 1):
+        for index, (name, snapshot) in enumerate(snapshots.items(), 1):
             (outdir / f"{index:02d}-{name}.txt").write_text(snapshot)
             count = index
         if program.plan.double_buffered:
@@ -440,18 +445,16 @@ def cmd_passes_list(args) -> int:
 
 
 def cmd_run(args) -> int:
-    from repro.runtime.executor import run_gemm
+    from repro.runtime.executor import random_problem, run_gemm
 
     program = _build_program(args)
-    rng = np.random.default_rng(args.seed)
-    A = rng.standard_normal((args.M, args.K))
-    B = rng.standard_normal((args.K, args.N))
-    C = np.zeros((args.M, args.N))
+    A, B, C, reference = random_problem(
+        program.spec, args.M, args.N, args.K, seed=args.seed, alpha=args.alpha
+    )
     guarded = getattr(args, "guarded", False)
     C, report = run_gemm(
         program, A, B, C, alpha=args.alpha, beta=0.0, guarded=guarded
     )
-    reference = args.alpha * (A @ B)
     error = float(np.abs(C - reference).max())
     print(f"max |C - reference| = {error:.3e}")
     if guarded:

@@ -221,8 +221,6 @@ class CompileContext:
 
     diagnostics: List[PassDiagnostic] = field(default_factory=list)
     stats: List[PassStat] = field(default_factory=list)
-    #: pass name -> IR snapshot taken right after the pass ran
-    snapshots: Dict[str, str] = field(default_factory=dict)
     current_pass: str = "<pipeline>"
 
     # -- diagnostics -------------------------------------------------------
@@ -836,32 +834,29 @@ SnapshotSink = Callable[[Pass, str, str], None]
 
 
 class PassManager:
-    """Executes a pipeline over a context with timing, snapshots and
-    print-after hooks."""
+    """Executes a pipeline over a context with per-pass timing; passes
+    named in ``print_after`` (``"all"`` for every pass) hand an IR
+    snapshot to ``sink`` right after they run."""
 
     def __init__(
         self,
         passes: Sequence[Pass],
         print_after: Optional[Sequence[str]] = None,
         sink: Optional[SnapshotSink] = None,
-        capture_snapshots: bool = True,
     ) -> None:
         self.passes = list(passes)
-        self.capture_snapshots = capture_snapshots
         self.sink = sink
         names = [p.name for p in self.passes]
-        if print_after is None:
-            self.print_after: Tuple[str, ...] = ()
-        elif "all" in print_after:
-            self.print_after = tuple(names)
-        else:
-            unknown = [n for n in print_after if n not in names]
-            if unknown:
-                raise ConfigurationError(
-                    f"--print-after: unknown pass(es) {unknown}; "
-                    f"this pipeline has {names}"
-                )
-            self.print_after = tuple(print_after)
+        requested = tuple(print_after or ())
+        unknown = [n for n in requested if n != "all" and n not in names]
+        if unknown:
+            raise ConfigurationError(
+                f"--print-after: unknown pass(es) {unknown}; "
+                f"this pipeline has {names}"
+            )
+        self.print_after: Tuple[str, ...] = (
+            tuple(names) if "all" in requested else requested
+        )
 
     def identity(self) -> str:
         return pipeline_identity(self.passes)
@@ -894,15 +889,11 @@ class PassManager:
                     diagnostics=tuple(ctx.diagnostics[before:]),
                 )
             )
-            if self.capture_snapshots or pass_.name in self.print_after:
-                snapshot = ctx.snapshot()
-                if self.capture_snapshots:
-                    ctx.snapshots[pass_.name] = snapshot
-                if pass_.name in self.print_after and self.sink is not None:
-                    header = (
-                        f";; ---- IR after {index}/{total}: {pass_.name} "
-                        f"({pass_.section}) ----"
-                    )
-                    self.sink(pass_, header, snapshot)
+            if pass_.name in self.print_after and self.sink is not None:
+                header = (
+                    f";; ---- IR after {index}/{total}: {pass_.name} "
+                    f"({pass_.section}) ----"
+                )
+                self.sink(pass_, header, ctx.snapshot())
         ctx.current_pass = "<pipeline>"
         return ctx

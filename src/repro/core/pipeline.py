@@ -81,11 +81,13 @@ class GemmCompiler:
         sink: Optional[SnapshotSink] = None,
         timeout_s: Optional[float] = None,
     ) -> Tuple[CompiledProgram, CompileContext]:
-        """Compile and hand back the pass context (snapshots, diagnostics).
+        """Compile and hand back the pass context (stats, diagnostics).
 
         This is the introspection entry point behind ``swgemm compile
-        --print-after`` / ``--dump-ir``: the returned context holds one
-        IR snapshot per executed pass and every structured diagnostic.
+        --print-after`` / ``--dump-ir``: each pass named in
+        ``print_after`` (``"all"`` for every pass) hands ``sink`` its IR
+        snapshot, and the returned context holds every structured
+        diagnostic.
         ``timeout_s`` sets a wall-clock deadline for the whole pipeline
         (:class:`repro.errors.CompileTimeout` on overrun).
         """

@@ -128,11 +128,6 @@ class DataIntegrityError(HardwareError):
     repaired by re-copying (see :mod:`repro.faults`)."""
 
 
-class RankFailureError(SwGemmError):
-    """Raised by the multi-cluster driver when rank failures cannot be
-    recovered from (e.g. every rank of the grid is dead)."""
-
-
 # ---------------------------------------------------------------------------
 # Compiler driver / runtime
 # ---------------------------------------------------------------------------

@@ -2,18 +2,17 @@
 
 The simulator of §§4-6 assumes a perfect machine: every ``dma_iget`` /
 ``dma_iput`` reply lands, every ``rma_row_ibcast`` / ``rma_col_ibcast``
-delivers bit-exact payloads, every rank of the multi-cluster driver
-survives to the gather.  Real Sunway-scale runs treat stragglers,
-transfer faults and corrupted artifacts as routine, so this module adds
-the missing half of the robustness story:
+delivers bit-exact payloads, every compile finishes.  Real Sunway-scale
+runs treat transfer faults, lost replies and corrupted artifacts as
+routine, so this module adds the missing half of the robustness story:
 
 * :class:`FaultPolicy` — *what* to inject and at which rates: transient
-  DMA/RMA/link failures, payload corruption, dropped reply counters,
-  latency spikes, artifact corruption, dead and straggler ranks.  The
+  DMA/RMA failures, payload corruption, dropped reply counters,
+  latency spikes, artifact corruption, worker crashes and hangs.  The
   policy is a frozen dataclass so it can ride on
   :class:`~repro.core.options.CompilerOptions` (and therefore on every
-  entry point — executor, simulator, multi-cluster driver, compile
-  service, CLI) without breaking hashing or caching.
+  entry point — executor, simulator, compile service, CLI) without
+  breaking hashing or caching.
 * :class:`RetryPolicy` — *how* the stack recovers: bounded retries with
   exponential backoff, charged in simulated time so degraded runs show
   up in the measured schedule.
@@ -34,7 +33,7 @@ from __future__ import annotations
 import random
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -76,8 +75,6 @@ class FaultPolicy:
     dma_fault_rate: float = 0.0
     #: Transient failure of one RMA broadcast (retried by the engine).
     rma_fault_rate: float = 0.0
-    #: Transient failure of one inter-cluster link transfer.
-    comm_fault_rate: float = 0.0
     #: Payload corruption of a delivered tile.  With ``checksums`` on the
     #: engines detect and repair it; without, it silently lands — exactly
     #: the failure mode the reproduction must *demonstrate* detecting.
@@ -101,12 +98,6 @@ class FaultPolicy:
     #: the daemon's per-job deadline must hard-kill the worker.
     compile_hang_rate: float = 0.0
     compile_hang_s: float = 30.0
-    #: Ranks of the multi-cluster driver that fail before computing; the
-    #: driver reassigns their C-blocks to healthy ranks (degraded mode).
-    dead_ranks: Tuple[int, ...] = ()
-    #: Ranks whose compute runs ``straggler_factor``× slower.
-    straggler_ranks: Tuple[int, ...] = ()
-    straggler_factor: float = 4.0
     #: End-to-end tile checksums across DMA→RMA hops.
     checksums: bool = False
     #: Virtual seconds a reply wait may stall while the rest of the mesh
@@ -118,7 +109,6 @@ class FaultPolicy:
         for name in (
             "dma_fault_rate",
             "rma_fault_rate",
-            "comm_fault_rate",
             "corruption_rate",
             "reply_drop_rate",
             "latency_spike_rate",
@@ -135,20 +125,10 @@ class FaultPolicy:
             raise ConfigurationError(
                 f"latency_spike_factor must be >= 1, got {self.latency_spike_factor}"
             )
-        if self.straggler_factor < 1.0:
-            raise ConfigurationError(
-                f"straggler_factor must be >= 1, got {self.straggler_factor}"
-            )
         if self.watchdog_timeout_s < 0:
             raise ConfigurationError(
                 f"watchdog_timeout_s must be >= 0, got {self.watchdog_timeout_s}"
             )
-        for name in ("dead_ranks", "straggler_ranks"):
-            ranks = getattr(self, name)
-            if not isinstance(ranks, tuple):
-                # Lists are convenient at call sites but must not leak into
-                # the frozen (hashable) policy.
-                object.__setattr__(self, name, tuple(ranks))
 
     @staticmethod
     def chaos(seed: int = 0, rate: float = 0.05) -> "FaultPolicy":
@@ -162,7 +142,6 @@ class FaultPolicy:
             seed=seed,
             dma_fault_rate=rate,
             rma_fault_rate=rate,
-            comm_fault_rate=rate,
             corruption_rate=rate / 2,
             latency_spike_rate=rate,
             checksums=True,
@@ -178,18 +157,11 @@ class FaultPolicy:
     def to_dict(self) -> Dict[str, object]:
         from dataclasses import asdict
 
-        data = asdict(self)
-        data["dead_ranks"] = list(self.dead_ranks)
-        data["straggler_ranks"] = list(self.straggler_ranks)
-        return data
+        return asdict(self)
 
     @staticmethod
     def from_dict(data: Dict[str, object]) -> "FaultPolicy":
-        kwargs = dict(data)
-        for name in ("dead_ranks", "straggler_ranks"):
-            if name in kwargs:
-                kwargs[name] = tuple(kwargs[name])
-        return FaultPolicy(**kwargs)
+        return FaultPolicy(**data)
 
 
 @dataclass(frozen=True)
@@ -246,9 +218,8 @@ class FaultInjector:
     Streams are derived from ``(policy.seed, stream name)`` through
     :class:`random.Random`'s string seeding (SHA-512 based — stable
     across processes and ``PYTHONHASHSEED``), so the DMA engine, the RMA
-    engine, the communicator and the artifact store each replay their
-    own identical fault sequence for a given seed no matter how many
-    draws the others make.
+    engine and the artifact store each replay their own identical fault
+    sequence for a given seed no matter how many draws the others make.
     """
 
     def __init__(self, policy: FaultPolicy, stream: str = "root") -> None:
@@ -273,11 +244,10 @@ class FaultInjector:
         return hit
 
     def transfer_fault(self, site: str) -> bool:
-        """Transient failure of one message on ``site`` ("dma"/"rma"/"comm")."""
+        """Transient failure of one message on ``site`` ("dma"/"rma")."""
         rate = {
             "dma": self.policy.dma_fault_rate,
             "rma": self.policy.rma_fault_rate,
-            "comm": self.policy.comm_fault_rate,
         }.get(site, 0.0)
         return self._hit(rate, f"{site}_fault")
 

@@ -37,6 +37,7 @@ from repro.errors import ExecutionError, SynchronizationError
 from repro.codegen.elementwise import get_elementwise
 from repro.codegen.backend import resolve_kernel
 from repro.poly.astnodes import ArrayRef, BinExpr, BlockOpStmt, KernelCall, NaiveComputeStmt
+from repro.core.spec import GemmSpec
 from repro.runtime.program import CompiledProgram
 from repro.runtime.walker import CpeWalker
 from repro.sunway.athread import AthreadRuntime
@@ -348,6 +349,43 @@ def _match_gemm_value(value) -> Tuple[object, ArrayRef, ArrayRef]:
 # ---------------------------------------------------------------------------
 # High-level entry point with zero padding (§8.1)
 # ---------------------------------------------------------------------------
+
+
+#: Batch count of a batched run whose caller does not choose one.
+DEFAULT_BATCH_COUNT = 4
+
+
+def random_problem(
+    spec: GemmSpec,
+    M: int,
+    N: int,
+    K: int,
+    seed: int = 0,
+    alpha: float = 1.0,
+    batch_count: int = DEFAULT_BATCH_COUNT,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Seeded operands for one functional run of ``spec`` and the NumPy
+    reference the run must reproduce.
+
+    Returns ``(A, B, C, expected)``.  A and B are drawn in the spec's
+    storage layout (transposed operands are stored ``K×M`` / ``N×K``,
+    batched ones carry a leading ``batch_count`` dimension), C is zero,
+    and ``expected`` is ``alpha·op(A)·op(B)`` with the spec's fused
+    prologue applied to A and its epilogue to the product.
+    """
+    rng = np.random.default_rng(seed)
+    lead = (batch_count,) if spec.is_batched else ()
+    A = rng.standard_normal(lead + ((K, M) if spec.trans_a else (M, K)))
+    B = rng.standard_normal(lead + ((N, K) if spec.trans_b else (K, N)))
+    C = np.zeros(lead + (M, N))
+    A_eff = A.swapaxes(-1, -2) if spec.trans_a else A
+    B_eff = B.swapaxes(-1, -2) if spec.trans_b else B
+    if spec.prologue_func:
+        A_eff = get_elementwise(spec.prologue_func).numpy_fn(A_eff)
+    expected = alpha * (A_eff @ B_eff)
+    if spec.epilogue_func:
+        expected = get_elementwise(spec.epilogue_func).numpy_fn(expected)
+    return A, B, C, expected
 
 
 def run_gemm(

@@ -24,14 +24,6 @@ from repro.core.options import SCHEDULE_PASS_NAMES, CompilerOptions, SchedulePol
 Evaluator = Callable[[Optional[SchedulePolicy]], float]
 
 
-def _splitmix64(state: int) -> Tuple[int, int]:
-    state = (state + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    z = state
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return state, z ^ (z >> 31)
-
-
 def greedy_pass_order(
     evaluate: Evaluator,
     passes: Sequence[str] = SCHEDULE_PASS_NAMES,
@@ -45,14 +37,17 @@ def greedy_pass_order(
     gains), stopping when nothing improves.  Returns the winning policy,
     or ``None`` when the recipe itself is best.
     """
-    state = seed & 0xFFFFFFFFFFFFFFFF
+    # Lazy: the tuner sits above this package in the import graph.
+    from repro.tune.space import SplitMix64
+
+    rng = SplitMix64(seed)
     best_score = evaluate(None)
     chosen: Tuple[str, ...] = ()
     remaining = list(passes)
     while remaining:
         scored = []
         for name in remaining:
-            state, salt = _splitmix64(state)
+            salt = rng.next_u64()
             policy = SchedulePolicy(mode="optimize", allow=chosen + (name,))
             scored.append((evaluate(policy), salt, name))
         score, _, winner = max(scored)

@@ -24,7 +24,7 @@ oversized line).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -355,16 +355,19 @@ def spec_and_options(params: Dict[str, Any]):
     if fault is not None:
         if not isinstance(fault, dict):
             raise ProtocolError("fault must be a JSON object (seed/rate/...)")
-        overrides["fault_policy"] = FaultPolicy.chaos(
-            seed=int(fault.get("seed", 0)), rate=float(fault.get("rate", 0.05))
-        )
-        overrides["retry_policy"] = RetryPolicy(
-            max_retries=int(fault.get("max_retries", 3))
-        )
-    if "fault_policy" in params:
-        overrides["fault_policy"] = FaultPolicy.from_dict(params["fault_policy"])
-    if "retry_policy" in params:
-        overrides["retry_policy"] = RetryPolicy.from_dict(params["retry_policy"])
+        try:
+            overrides["fault_policy"] = FaultPolicy.chaos(
+                seed=int(fault.get("seed", 0)),
+                rate=float(fault.get("rate", 0.05)),
+            )
+            overrides["retry_policy"] = RetryPolicy(
+                max_retries=int(fault.get("max_retries", 3))
+            )
+        except (TypeError, ValueError, ConfigurationError) as exc:
+            raise ProtocolError(f"invalid fault: {exc}") from exc
+    for name, cls in (("fault_policy", FaultPolicy), ("retry_policy", RetryPolicy)):
+        if name in params:
+            overrides[name] = _policy_param(name, cls, params[name])
     try:
         options = coerce_options(None, overrides)
     except ConfigurationError as exc:
@@ -382,6 +385,24 @@ def spec_and_options(params: Dict[str, Any]):
     except ConfigurationError as exc:
         raise ProtocolError(str(exc)) from exc
     return spec, options, arch
+
+
+def _policy_param(name: str, cls: type, data: Any):
+    """A wire ``fault_policy`` / ``retry_policy`` object → the policy,
+    with every malformed input reported as a :class:`ProtocolError`."""
+    if not isinstance(data, dict):
+        raise ProtocolError(f"{name} must be a JSON object ({cls.__name__} fields)")
+    valid = {f.name for f in fields(cls)}
+    unknown = set(data) - valid
+    if unknown:
+        raise ProtocolError(
+            f"unknown {name} key(s) {sorted(unknown)}; valid keys are "
+            f"{sorted(valid)}"
+        )
+    try:
+        return cls.from_dict(data)
+    except (TypeError, ValueError, ConfigurationError) as exc:
+        raise ProtocolError(f"invalid {name}: {exc}") from exc
 
 
 def shape_hint(params: Dict[str, Any]) -> Optional[Tuple[int, ...]]:

@@ -763,8 +763,11 @@ class KernelServer:
     ) -> Dict[str, Any]:
         import numpy as np
 
-        from repro.codegen.elementwise import get_elementwise
-        from repro.runtime.executor import run_gemm
+        from repro.runtime.executor import (
+            DEFAULT_BATCH_COUNT,
+            random_problem,
+            run_gemm,
+        )
 
         spec, options, arch = protocol.spec_and_options(params)
         M = int(params.get("M", 64))
@@ -779,26 +782,14 @@ class KernelServer:
             timeout_s=overload_mod.merge_timeout(params.get("timeout"), budget_s),
             shape_hint=protocol.shape_hint(params),
         )
-        rng = np.random.default_rng(seed)
-        batch = int(params.get("batch_count", 4)) if spec.is_batched else None
-        lead = (batch,) if batch else ()
-        A = rng.standard_normal(lead + ((K, M) if spec.trans_a else (M, K)))
-        B = rng.standard_normal(lead + ((N, K) if spec.trans_b else (K, N)))
-        C = np.zeros(lead + (M, N))
+        A, B, C, expected = random_problem(
+            program.spec, M, N, K, seed=seed, alpha=alpha,
+            batch_count=int(params.get("batch_count", DEFAULT_BATCH_COUNT)),
+        )
         C, report = run_gemm(
             program, A, B, C, alpha=alpha, beta=0.0,
             guarded=bool(params.get("guarded", False)),
         )
-        A_eff = A.swapaxes(-1, -2) if spec.trans_a else A
-        B_eff = B.swapaxes(-1, -2) if spec.trans_b else B
-        # Fused kernels apply their element-wise function to A (prologue)
-        # or to the product (epilogue); the reference must as well.
-        fused = program.spec
-        if fused.prologue_func:
-            A_eff = get_elementwise(fused.prologue_func).numpy_fn(A_eff)
-        expected = alpha * (A_eff @ B_eff)
-        if fused.epilogue_func:
-            expected = get_elementwise(fused.epilogue_func).numpy_fn(expected)
         max_error = float(np.abs(C - expected).max())
         result = {
             "key": self.service.reconciled_key(spec, arch, options),

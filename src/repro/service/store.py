@@ -60,6 +60,22 @@ def shard_for(key: str) -> str:
     return "_" * SHARD_WIDTH
 
 
+def atomic_write(path: Path, text: str) -> None:
+    """Write ``text`` to ``path`` through a temp file beside it and an
+    atomic rename, so readers never see a half-written file."""
+    fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def _is_shard_dir(path: Path) -> bool:
     name = path.name
     return len(name) == SHARD_WIDTH and (
@@ -207,7 +223,7 @@ class ArtifactStore:
         }
         path = self.path_for(key)
         path.parent.mkdir(parents=True, exist_ok=True)
-        self._atomic_write(path, json.dumps(payload))
+        atomic_write(path, json.dumps(payload))
         self.writes += 1
         if self.injector is not None:
             # The fault plane may truncate the artifact we just landed —
@@ -300,27 +316,12 @@ class ArtifactStore:
                 totals[name] = totals.get(name, 0) + delta
         totals["updated"] = time.time()
         try:
-            self._atomic_write(
-                self.root / _STATS_FILE, json.dumps(totals, sort_keys=True)
-            )
+            atomic_write(self.root / _STATS_FILE, json.dumps(totals, sort_keys=True))
         except OSError:
             pass  # read-only store: counters stay session-local
         return totals
 
     # -- helpers -----------------------------------------------------------
-
-    def _atomic_write(self, path: Path, text: str) -> None:
-        fd, tmp = tempfile.mkstemp(dir=str(self.root), suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w") as handle:
-                handle.write(text)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
 
     def poison_keys(self) -> List[str]:
         """Cache keys the serving daemon's circuit breaker quarantined.

@@ -1,7 +1,8 @@
 """Per-pass golden IR snapshots for the four pipeline variants.
 
-The pass manager captures a context snapshot (artifact summary + the
-schedule tree) after every pass; these tests lock those snapshots down
+With ``print_after=["all"]`` the pass manager hands a context snapshot
+(artifact summary + the schedule tree) to its sink after every pass;
+these tests lock those snapshots down
 byte-for-byte for the default, batched, fused and no-RMA pipelines.  Any
 compiler change that alters an intermediate stage — not just the final
 tree — shows up as a diff here.  Review it, then regenerate with::
@@ -33,9 +34,13 @@ VARIANTS = {
 
 def _snapshots(variant):
     spec, options = VARIANTS[variant]
-    compiler = GemmCompiler(SW26010PRO, options)
-    _, ctx = compiler.compile_with_context(spec)
-    return ctx.snapshots
+    snapshots = {}
+    GemmCompiler(SW26010PRO, options).compile_with_context(
+        spec,
+        print_after=["all"],
+        sink=lambda pass_, header, text: snapshots.__setitem__(pass_.name, text),
+    )
+    return snapshots
 
 
 def _golden_files(variant):

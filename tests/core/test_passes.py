@@ -144,8 +144,12 @@ def test_pass_stats_match_pipeline_and_sum_to_codegen_seconds():
 
 def test_one_snapshot_per_pass_and_diagnostics_sliced():
     compiler = GemmCompiler(SW26010PRO, CompilerOptions.full())
-    _, ctx = compiler.compile_with_context(GemmSpec())
-    assert list(ctx.snapshots) == [s.name for s in ctx.stats]
+    seen = []
+    _, ctx = compiler.compile_with_context(
+        GemmSpec(), print_after=["all"],
+        sink=lambda pass_, header, snapshot: seen.append(pass_.name),
+    )
+    assert seen == [s.name for s in ctx.stats]
     # Every diagnostic belongs to exactly one pass's stat slice.
     sliced = [d for s in ctx.stats for d in s.diagnostics]
     assert sliced == list(ctx.diagnostics)

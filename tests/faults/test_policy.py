@@ -11,7 +11,6 @@ def test_default_policy_is_inert():
     policy = FaultPolicy()
     assert not policy.enabled
     assert policy.dma_fault_rate == 0.0
-    assert policy.dead_ranks == ()
 
 
 def test_chaos_preset():
@@ -28,18 +27,10 @@ def test_chaos_preset():
     ("rma_fault_rate", 1.5),
     ("corruption_rate", 2.0),
     ("latency_spike_factor", 0.5),
-    ("straggler_factor", 0.0),
 ])
 def test_policy_validation(field, value):
     with pytest.raises(ConfigurationError):
         FaultPolicy(**{field: value})
-
-
-def test_list_ranks_become_tuples():
-    policy = FaultPolicy(dead_ranks=[3, 1], straggler_ranks=[2])
-    assert policy.dead_ranks == (3, 1)
-    assert policy.straggler_ranks == (2,)
-    assert hash(policy)  # must stay usable as a dict key
 
 
 def test_with_helper_keeps_frozen_semantics():

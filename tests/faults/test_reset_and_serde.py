@@ -55,7 +55,7 @@ def test_cluster_reset_clears_lost_replies():
 
 def test_policies_round_trip_through_serde():
     policy = FaultPolicy.chaos(seed=17, rate=0.25).with_(
-        dead_ranks=(1, 3), straggler_ranks=(2,)
+        reply_drop_rate=0.1, compile_hang_s=2.0
     )
     retry = RetryPolicy(max_retries=5, backoff_base_s=2e-6)
     encoded = serde.encode(policy)

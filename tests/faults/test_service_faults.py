@@ -52,6 +52,27 @@ def test_garbage_json_is_quarantined(tmp_path):
     assert again.store.stats()["quarantined"] == 1
 
 
+def test_artifact_with_a_removed_policy_field_is_quarantined(tmp_path):
+    """An artifact whose stored ``FaultPolicy`` carries a field this
+    version does not have (as one written before a policy field was
+    removed does) is a miss that quarantines and recompiles, never an
+    exception."""
+    service = fresh_service(tmp_path)
+    spec = GemmSpec()
+    options = CompilerOptions.full().with_(fault_policy=FaultPolicy.chaos(seed=3))
+    service.get_program(spec, TOY_ARCH, options)
+    path = service.store.path_for(service.key_for(spec, TOY_ARCH, options))
+    text = path.read_text()
+    assert '"checksums": true' in text
+    path.write_text(text.replace(
+        '"checksums": true', '"checksums": true, "retired_rate": 0.05'
+    ))
+    again = fresh_service(tmp_path)
+    program = again.get_program(spec, TOY_ARCH, options)
+    assert program.options.fault_policy == options.fault_policy
+    assert again.store.stats()["quarantined"] == 1
+
+
 def test_quarantine_names_collide_safely(tmp_path):
     service = fresh_service(tmp_path)
     spec = GemmSpec()

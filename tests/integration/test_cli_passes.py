@@ -36,6 +36,15 @@ void gemm(int M, int N, int K, double alpha,
 }
 """
 
+TRANSPOSED_A_GEMM_C = """\
+void gemm(int M, int N, int K, double A[K][M], double B[K][N], double C[M][N]) {
+  for (int i = 0; i < M; i++)
+    for (int j = 0; j < N; j++)
+      for (int k = 0; k < K; k++)
+        C[i][j] += A[k][i] * B[k][j];
+}
+"""
+
 DEFAULT_PIPELINE = [
     "dependence-analysis",
     "tile-selection",
@@ -178,6 +187,25 @@ def test_option_flags_match_the_facade_cache_key(tmp_path, source, flag, overrid
         service=CompileService(ServiceConfig(enabled=False)), **override,
     )
     assert cli_keys == {cache_key(spec, SW26010PRO, program.options)}
+
+
+@pytest.mark.parametrize(
+    "source",
+    [EPILOGUE_GEMM_C, BATCHED_GEMM_C, TRANSPOSED_A_GEMM_C],
+    ids=["sigmoid-epilogue", "batched", "transposed-a"],
+)
+def test_run_checks_the_kernel_the_source_describes(tmp_path, capsys, source):
+    """``run`` draws operands in the source's layout (batched, transposed)
+    and checks against its fused reference, like the daemon's run op."""
+    src = tmp_path / "gemm.c"
+    src.write_text(source)
+    assert main([
+        "--cache-dir", str(tmp_path / "cache"), "run", str(src),
+        "--arch", "toy", "-M", "64", "-N", "64", "-K", "32",
+    ]) == 0
+    out = capsys.readouterr().out
+    error = float(out.split("max |C - reference| = ")[1].split()[0])
+    assert error < 1e-8
 
 
 def test_tree_supports_print_after(capsys):

@@ -275,6 +275,26 @@ def test_spec_and_options_full_policy_round_trip():
     assert options.retry_policy == retry
 
 
+@pytest.mark.parametrize("params, match", [
+    ({"fault_policy": {"bogus_rate": 0.1}}, "bogus_rate"),
+    ({"fault_policy": [0.1]}, "fault_policy must be a JSON object"),
+    ({"fault_policy": {"dma_fault_rate": 2.0}}, "dma_fault_rate"),
+    ({"fault_policy": {"dma_fault_rate": "high"}}, "invalid fault_policy"),
+    ({"retry_policy": {"retries": 3}}, "retries"),
+    ({"retry_policy": "three"}, "retry_policy must be a JSON object"),
+    ({"retry_policy": {"max_retries": -1}}, "max_retries"),
+    ({"fault": {"rate": "high"}}, "invalid fault"),
+    ({"fault": {"rate": 1.5}}, "invalid fault"),
+], ids=[
+    "unknown-key", "not-object", "out-of-range", "wrong-type",
+    "retry-unknown-key", "retry-not-object", "retry-out-of-range",
+    "shorthand-wrong-type", "shorthand-out-of-range",
+])
+def test_spec_and_options_malformed_policies_are_protocol_errors(params, match):
+    with pytest.raises(ProtocolError, match=match):
+        spec_and_options({"arch": "toy", **params})
+
+
 def test_shape_hint_parsing():
     assert shape_hint({}) is None
     assert shape_hint({"M": 1, "N": 2}) is None

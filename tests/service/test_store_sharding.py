@@ -89,7 +89,7 @@ def test_flat_and_sharded_duplicate_resolves_to_sharded(tmp_path):
     assert reopened.get(key) is not None
 
 
-def test_flat_straggler_still_served_and_listed(tmp_path):
+def test_unmigrated_flat_artifact_still_served_and_listed(tmp_path):
     """If migration cannot move a file, get()/keys() still see it."""
     store = ArtifactStore(tmp_path)
     key = "0d" + "5" * 62
