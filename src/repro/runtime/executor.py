@@ -11,7 +11,11 @@ hardware's spin loops.  A scheduling round in which no CPE makes
 progress is reported as a deadlock with each CPE's blocking reason,
 which turns schedule bugs into actionable failures instead of hangs.
 :class:`Executor` supplies what the statements do on the simulated
-DMA/RMA engines, SPM and clocks.
+DMA/RMA engines, SPM and clocks: it implements the athread reply,
+barrier and compute calls itself and issues every DMA/RMA on the
+engines.  In guarded mode it reports every SPM allocation and every
+transfer it issues to a :class:`~repro.verify.CertificateGuard` before
+the engine sees it.
 
 Two modes share all of this logic:
 
@@ -40,8 +44,7 @@ from repro.poly.astnodes import ArrayRef, BinExpr, BlockOpStmt, KernelCall, Naiv
 from repro.core.spec import GemmSpec
 from repro.runtime.program import CompiledProgram
 from repro.runtime.walker import CpeWalker
-from repro.sunway.athread import AthreadRuntime
-from repro.sunway.cpe import CPE
+from repro.sunway.cpe import CPE, is_rma_counter
 from repro.sunway.mesh import Cluster
 
 
@@ -81,16 +84,13 @@ class Executor(CpeWalker):
             fault_policy=program.options.fault_policy,
             retry_policy=program.options.retry_policy,
         )
-        #: guarded mode: a CertificateGuard cross-checking every observed
-        #: DMA/RMA/SPM event against the admission certificate
+        #: guarded mode: a CertificateGuard observing every DMA/RMA issue
+        #: and SPM allocation against the admission certificate
         self.guard = guard
-        self.cluster.dma.guard = guard
-        self.cluster.rma.guard = guard
         #: reply-counter watchdog budget in virtual seconds (0 = off)
         self._watchdog_s = self.cluster.fault_policy.watchdog_timeout_s
-        self.runtime = AthreadRuntime(
-            self.cluster, move_data, elem_bytes=program.spec.itemsize
-        )
+        #: element width of the matrices (8 for DGEMM, 4 for SGEMM)
+        self._elem_bytes = program.spec.itemsize
         # Single precision doubles the SIMD lanes: half the kernel time.
         self._kernel_time_factor = program.spec.itemsize / 8.0
         self.move_data = move_data
@@ -199,12 +199,44 @@ class Executor(CpeWalker):
         return since
 
     # ------------------------------------------------------------------
+    # Reply counters and barrier (the walker's runtime interface)
+    # ------------------------------------------------------------------
+
+    def reply_reset(self, cpe: CPE, name: str) -> None:
+        cpe.reply(name).reset()
+        # A reset opens a new transfer window: any reply loss recorded for
+        # the previous window no longer explains a stall on this counter.
+        cpe.lost_replies.pop(name, None)
+
+    def reply_satisfied(self, cpe: CPE, name: str, value: int) -> bool:
+        return cpe.reply(name).satisfied(value)
+
+    def finish_wait(self, cpe: CPE, name: str, value: int) -> None:
+        """Commit a completed ``*_wait_value``: advance the CPE clock to
+        the completion time and un-poison the buffers it covered."""
+        counter = cpe.reply(name)
+        cpe.sync_to(counter.completion_time(value))
+        for record in counter.consume(value):
+            if record.buffer is not None:
+                cpe.spm.clear_inflight(record.buffer[0], record.buffer[1])
+        # A completed RMA wait disarms the launch window (§5): the next
+        # launch group needs a fresh synch().
+        if is_rma_counter(name):
+            cpe.rma_armed = False
+
+    def barrier_arrive(self, cpe: CPE) -> int:
+        return self.cluster.barrier.arrive(cpe)
+
+    def barrier_passed(self, token: int) -> bool:
+        return self.cluster.barrier.passed(token)
+
+    # ------------------------------------------------------------------
     # Transfers
     # ------------------------------------------------------------------
 
     def _issue_dma(self, cpe: CPE, kind: str, args: Mapping[str, object], env) -> None:
         array_name = str(args["array"])
-        array = self.runtime.main_array(array_name)
+        array = self.cluster.memory[array_name]
         ld = int(array.shape[-1])
         row = self._eval_int(args["row"], env)
         col = self._eval_int(args["col"], env)
@@ -216,26 +248,51 @@ class Executor(CpeWalker):
         length = int(args["len"])
         size = int(args["size"])
         strip = ld - length
-        slot = self._eval_int(args["slot"], env)
-        buffer = str(args["buffer"])
+        key = (str(args["buffer"]), self._eval_int(args["slot"], env))
         reply = self._reply_key(args, env)
-        if kind == "dma_iget":
-            self.runtime.dma_iget(
-                cpe, (buffer, slot), array_name, offset, size, length, strip, reply
+        tile = cpe.spm.slot(*key)
+        main = array if self.move_data else None
+        get = kind == "dma_iget"
+        if self.guard is not None:
+            self.guard.on_dma("get" if get else "put", key[0], size, length)
+        if get:
+            self.cluster.dma.iget(
+                cpe, tile, key, main, array.size, offset, size, length,
+                strip, reply, elem_bytes=self._elem_bytes,
+                move_data=self.move_data,
             )
         else:
-            self.runtime.dma_iput(
-                cpe, array_name, offset, (buffer, slot), size, length, strip, reply
+            self.cluster.dma.iput(
+                cpe, main, array.size, offset,
+                tile if self.move_data else None, key, size, length, strip,
+                reply, elem_bytes=self._elem_bytes, move_data=self.move_data,
             )
 
     def _issue_rma(self, cpe: CPE, kind: str, src, dst, replys, replyr, args) -> None:
-        rt = self.runtime
-        issue = rt.rma_row_ibcast if kind == "rma_row_ibcast" else rt.rma_col_ibcast
-        issue(cpe, src, dst, int(args["size"]), replys, replyr)
+        size = int(args["size"])
+        if kind == "rma_row_ibcast":
+            manner, issue = "row", self.cluster.rma.row_ibcast
+        else:
+            manner, issue = "col", self.cluster.rma.col_ibcast
+        if self.guard is not None:
+            self.guard.on_rma(manner, src[0], dst[0], size)
+        issue(
+            cpe, src, dst, size, replys, replyr,
+            elem_bytes=self._elem_bytes, move_data=self.move_data,
+        )
 
     # ------------------------------------------------------------------
     # Compute statements
     # ------------------------------------------------------------------
+
+    def charge_compute(self, cpe: CPE, seconds: float, kind: str = "kernel") -> None:
+        start = cpe.clock
+        cpe.advance(seconds)
+        cpe.stats["compute_seconds"] += seconds
+        if self.cluster.trace is not None:
+            self.cluster.trace.record(
+                kind, start, cpe.clock, f"CPE({cpe.rid},{cpe.cid})"
+            )
 
     def _slot_view(self, cpe: CPE, ref: ArrayRef, env) -> Tuple[np.ndarray, int]:
         slot = self._eval_int(ref.indices[0], env)
@@ -254,7 +311,7 @@ class Executor(CpeWalker):
             a_eff = a_view.T if stmt.trans_a else a_view
             b_eff = b_view.T if stmt.trans_b else b_view
             self.kernel.execute(c_view, a_eff, b_eff, alpha)
-        self.runtime.charge_compute(
+        self.charge_compute(
             cpe, self.kernel.seconds_per_call * self._kernel_time_factor
         )
         cpe.stats["kernel_calls"] += 1
@@ -274,7 +331,7 @@ class Executor(CpeWalker):
             rate = func.cpe_rate
         else:
             raise ExecutionError(f"unknown block op {stmt.op!r}")
-        self.runtime.charge_compute(cpe, elements / rate, kind="blockop")
+        self.charge_compute(cpe, elements / rate, kind="blockop")
 
     def _exec_naive(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:
         seconds = self.program.arch.naive_time_s(*stmt.extents)
@@ -284,7 +341,7 @@ class Executor(CpeWalker):
                 self._exec_naive_scalar(cpe, stmt, env)
             else:
                 self._exec_naive_vectorised(cpe, stmt, env)
-        self.runtime.charge_compute(cpe, seconds)
+        self.charge_compute(cpe, seconds)
         cpe.stats["kernel_calls"] += 1
 
     def _exec_naive_scalar(self, cpe: CPE, stmt: NaiveComputeStmt, env) -> None:

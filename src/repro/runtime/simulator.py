@@ -70,7 +70,6 @@ class PerformanceSimulator:
         self,
         arch: ArchSpec = SW26010PRO,
         service: Optional[object] = None,
-        guarded: bool = False,
     ) -> None:
         from repro.service import get_default_service
 
@@ -80,9 +79,6 @@ class PerformanceSimulator:
         #: per-simulator dict, so every simulator in the process — and,
         #: with a disk-backed service, every process — shares compiles.
         self.service = service if service is not None else get_default_service()
-        #: guarded mode: every chunk simulation runs under a
-        #: CertificateGuard built from the program's admission report
-        self.guarded = guarded
         self._chunk_cache: Dict[Tuple, Tuple[float, float]] = {}
 
     # -- compilation cache ---------------------------------------------------
@@ -143,12 +139,7 @@ class PerformanceSimulator:
         cluster.memory.alloc(spec.a_name, a_shape)
         cluster.memory.alloc(spec.b_name, b_shape)
         cluster.memory.alloc(spec.c_name, c_shape)
-        guard = None
-        if self.guarded:
-            from repro.verify import CertificateGuard
-
-            guard = CertificateGuard.from_program(program)
-        executor = Executor(program, cluster, move_data=False, guard=guard)
+        executor = Executor(program, cluster, move_data=False)
         params = {spec.m_param: cm, spec.n_param: cn, spec.k_param: K}
         if batched:
             params[spec.batch_param] = 1

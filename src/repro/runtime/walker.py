@@ -7,10 +7,10 @@ ledger) — runs it through :class:`CpeWalker`: one statement dispatch,
 one expression evaluator and one cooperative scheduler.  A backend
 subclasses the walker and supplies what the statements *do*:
 
-* ``self.runtime`` — the reply-counter and barrier interface of
-  :class:`~repro.sunway.athread.AthreadRuntime`: ``reply_reset``,
-  ``reply_satisfied``, ``finish_wait``, ``barrier_arrive`` and
-  ``barrier_passed``;
+* the athread reply-counter and barrier calls, as methods of the backend
+  itself: ``reply_reset(cpe, key)``, ``reply_satisfied(cpe, key, value)``,
+  ``finish_wait(cpe, key, value)``, ``barrier_arrive(cpe) -> token`` and
+  ``barrier_passed(token)``;
 * ``_issue_dma(cpe, kind, args, env)`` and
   ``_issue_rma(cpe, kind, src, dst, replys, replyr, args)`` — the
   asynchronous transfers;
@@ -198,9 +198,8 @@ class CpeWalker:
     def _exec_comm(self, cpe, stmt: CommStmt, env: Dict[str, object]):
         kind = stmt.kind
         args = stmt.args
-        rt = self.runtime
         if kind == "reply_reset":
-            rt.reply_reset(cpe, self._reply_key(args, env))
+            self.reply_reset(cpe, self._reply_key(args, env))
             self._progress += 1
             return
         if kind in ("dma_iget", "dma_iput"):
@@ -212,12 +211,12 @@ class CpeWalker:
             key = self._reply_key(args, env)
             value = int(args.get("value", 1))
             since = None
-            while not rt.reply_satisfied(cpe, key, value):
+            while not self.reply_satisfied(cpe, key, value):
                 self._blocked[(cpe.rid, cpe.cid)] = f"{kind} {key} >= {value}"
                 since = self._watch_wait(cpe, kind, key, value, since)
                 yield "blocked"
             self._blocked.pop((cpe.rid, cpe.cid), None)
-            rt.finish_wait(cpe, key, value)
+            self.finish_wait(cpe, key, value)
             self._progress += 1
             yield "step"
             return
@@ -236,8 +235,8 @@ class CpeWalker:
             yield "step"
             return
         if kind == "synch":
-            token = rt.barrier_arrive(cpe)
-            while not rt.barrier_passed(token):
+            token = self.barrier_arrive(cpe)
+            while not self.barrier_passed(token):
                 self._blocked[(cpe.rid, cpe.cid)] = "synch"
                 yield "blocked"
             self._blocked.pop((cpe.rid, cpe.cid), None)

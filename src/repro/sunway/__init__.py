@@ -5,11 +5,14 @@ processor: a management processing element (MPE), an 8×8 mesh of compute
 processing elements (CPEs) each owning a 256 KB software-managed
 scratch-pad memory (SPM), a shared DDR4 main memory reached through DMA,
 and a remote-memory-access (RMA) fabric that can broadcast SPM tiles along
-mesh rows/columns (§2.1, Fig. 1).
+mesh rows/columns (§2.1, Fig. 1).  The simulated core group is the CPE
+side; MPE time is charged by the xMath baselines
+(:mod:`repro.xmath.library`).
 
 Real SW26010Pro hardware is inaccessible, so this subpackage provides a
 *functional and timed simulator* with the same programming contract as the
-``athread`` runtime the paper generates code for:
+``athread`` runtime the paper generates code for.  The CPE interpreter
+(:class:`~repro.runtime.executor.Executor`) drives the engines directly:
 
 * :mod:`repro.sunway.arch` — architecture parameters (SW26010Pro default,
   SW26010 and a down-scaled test preset);
@@ -19,10 +22,9 @@ Real SW26010Pro hardware is inaccessible, so this subpackage provides a
   8×8 mesh (cluster);
 * :mod:`repro.sunway.dma_engine` — ``dma_iget``/``dma_iput`` with the
   paper's ``size``/``len``/``strip`` semantics and reply counters (§4);
-* :mod:`repro.sunway.rma_engine` — point-to-point and row/column/all
-  broadcasts with ``replys``/``replyr`` semantics (§5);
-* :mod:`repro.sunway.athread` — the athread-style runtime facade the
-  generated programs execute against.
+* :mod:`repro.sunway.rma_engine` — ``rma_row_ibcast``/``rma_col_ibcast``
+  with ``replys``/``replyr`` semantics (§5);
+* :mod:`repro.sunway.trace` — per-attempt channel spans for timelines.
 
 The simulator deliberately *fails loudly* on discipline violations (SPM
 overflow, consuming un-waited DMA data, RMA without ``synch()``), so the
@@ -44,7 +46,6 @@ from repro.sunway.arch import (
     register_arch,
 )
 from repro.sunway.mesh import Cluster
-from repro.sunway.athread import AthreadRuntime
 
 __all__ = [
     "ArchSpec",
@@ -55,7 +56,6 @@ __all__ = [
     "SW26010PRO_HBM",
     "SW26010PRO_LITE",
     "Cluster",
-    "AthreadRuntime",
     "all_archs",
     "arch_names",
     "get_arch",

@@ -18,6 +18,12 @@ from repro.errors import HardwareError, SynchronizationError
 from repro.sunway.spm import ScratchPadMemory
 
 
+def is_rma_counter(name: str) -> bool:
+    """RMA/broadcast reply counters: a completed wait on one disarms the
+    CPE's launch window (§5)."""
+    return name.startswith("rma") or "bcast" in name
+
+
 @dataclass
 class ReplyRecord:
     """One pending transfer completion."""
@@ -102,6 +108,16 @@ class CPE:
             counter = ReplyCounter(name)
             self.replies[name] = counter
         return counter
+
+    def post_reply(self, name: str, record: ReplyRecord, injector, site: str) -> None:
+        """Count one completed message on reply ``name``, unless the fault
+        injector drops it on ``site`` ("dma"/"rma"): a dropped reply is
+        remembered in :attr:`lost_replies` so the watchdog can name it."""
+        if injector is not None and injector.drops_reply(site):
+            self.stats["lost_replies"] += 1
+            self.lost_replies[name] = (record.buffer, record.time)
+        else:
+            self.reply(name).add(record)
 
     # -- clock ---------------------------------------------------------------
 

@@ -31,8 +31,6 @@ from repro.faults import FaultInjector, FaultPolicy, RetryPolicy, tile_checksum
 from repro.sunway.arch import ArchSpec
 from repro.sunway.cpe import CPE, ReplyRecord
 
-_DTYPE_BYTES = 8  # DGEMM: double precision throughout
-
 
 class DMAEngine:
     """Shared main-memory DMA channel of one core group."""
@@ -51,9 +49,6 @@ class DMAEngine:
         self.policy = policy or FaultPolicy()
         self.retry = retry or RetryPolicy()
         self.injector: Optional[FaultInjector] = None
-        #: optional CertificateGuard cross-checking each transfer against
-        #: the admission verifier's certificate (guarded mode)
-        self.guard = None
 
     def reset(self) -> None:
         self.channel_free = 0.0
@@ -178,14 +173,13 @@ class DMAEngine:
         length: int,
         strip: int,
         reply_name: str,
+        *,
+        elem_bytes: int,
         move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """Main memory → SPM.  Returns the modelled completion time."""
         spm_elems = dst.size if dst is not None else size
         rows = self._validate(src_elems, offset, size, length, strip, spm_elems)
-        if self.guard is not None:
-            self.guard.on_dma("get", dst_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
         if move_data:
             if src is None or dst is None:
@@ -213,11 +207,9 @@ class DMAEngine:
         cpe.spm.mark_inflight(dst_key[0], dst_key[1], f"dma_iget/{reply_name}")
         if checksum is not None and self.policy.checksums:
             cpe.spm.record_checksum(dst_key[0], dst_key[1], checksum, size)
-        if self.injector is not None and self.injector.drops_reply("dma"):
-            cpe.stats["lost_replies"] += 1
-            cpe.lost_replies[reply_name] = (dst_key, completion)
-        else:
-            cpe.reply(reply_name).add(ReplyRecord(completion, dst_key))
+        cpe.post_reply(
+            reply_name, ReplyRecord(completion, dst_key), self.injector, "dma"
+        )
         cpe.stats["dma_messages"] += 1
         cpe.stats["dma_bytes"] += nbytes
         return completion
@@ -234,8 +226,9 @@ class DMAEngine:
         length: int,
         strip: int,
         reply_name: str,
+        *,
+        elem_bytes: int,
         move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """SPM → main memory.  Returns the modelled completion time."""
         # The tile being written out must itself be ready (e.g. the getC
@@ -243,8 +236,6 @@ class DMAEngine:
         cpe.spm.check_readable(src_key[0], src_key[1])
         spm_elems = src.size if src is not None else size
         rows = self._validate(dst_elems, offset, size, length, strip, spm_elems)
-        if self.guard is not None:
-            self.guard.on_dma("put", src_key[0], size, length)
         copy_fn = corrupt_fn = readback_fn = None
         if move_data:
             if src is None or dst is None:
@@ -270,11 +261,9 @@ class DMAEngine:
         )
         # The SPM source must not be overwritten until the put completed.
         cpe.spm.mark_inflight(src_key[0], src_key[1], f"dma_iput/{reply_name}")
-        if self.injector is not None and self.injector.drops_reply("dma"):
-            cpe.stats["lost_replies"] += 1
-            cpe.lost_replies[reply_name] = (src_key, completion)
-        else:
-            cpe.reply(reply_name).add(ReplyRecord(completion, src_key))
+        cpe.post_reply(
+            reply_name, ReplyRecord(completion, src_key), self.injector, "dma"
+        )
         cpe.stats["dma_messages"] += 1
         cpe.stats["dma_bytes"] += nbytes
         return completion

@@ -1,11 +1,11 @@
 """The RMA engine: SPM-to-SPM communication inside the CPE mesh (§5).
 
 SW26010Pro offers three manners (Fig. 8): point-to-point, row/column-wise
-broadcast, and all-broadcast (internally a row+column combination).  The
-compiler uses the row broadcast for ``A_τ`` and the column broadcast for
-``B_τ`` so each input tile is fetched from main memory exactly once per
-mesh row/column — the 8× DMA-traffic reduction responsible for the 4.38×
-step in the paper's performance breakdown (§8.1).
+broadcast, and all-broadcast.  The compiler uses only the row broadcast
+for ``A_τ`` and the column broadcast for ``B_τ`` — each input tile is
+fetched from main memory exactly once per mesh row/column, the 8×
+DMA-traffic reduction responsible for the 4.38× step in the paper's
+performance breakdown (§8.1) — so those two are what the engine models.
 
 Interface semantics follow the athread model::
 
@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-import numpy as np
-
 from repro.errors import (
     DataIntegrityError,
     InvalidRMAError,
@@ -40,8 +38,6 @@ from repro.errors import (
 from repro.faults import FaultInjector, FaultPolicy, RetryPolicy, tile_checksum
 from repro.sunway.arch import ArchSpec
 from repro.sunway.cpe import CPE, ReplyRecord
-
-_DTYPE_BYTES = 8
 
 
 class RMAEngine:
@@ -64,9 +60,6 @@ class RMAEngine:
         self.policy = policy or FaultPolicy()
         self.retry = retry or RetryPolicy()
         self.injector: Optional[FaultInjector] = None
-        #: optional CertificateGuard cross-checking each broadcast against
-        #: the admission verifier's certificate (guarded mode)
-        self.guard = None
 
     def reset(self) -> None:
         self.row_channel_free = [0.0] * self.arch.mesh_rows
@@ -92,30 +85,23 @@ class RMAEngine:
             )
 
     def _occupy(
-        self, free_list: List[float], index: int, issue: float, nbytes: int,
-        label: str,
-    ) -> float:
-        """One attempt on a row/column channel, with latency spikes."""
-        factor = self.injector.latency_factor("rma") if self.injector else 1.0
-        start = max(issue, free_list[index])
-        completion = start + self.arch.rma_time_s(nbytes) * factor
-        free_list[index] = completion
-        if self.trace is not None:
-            self.trace.record("rma", start, completion, label)
-        return completion
-
-    def _occupy_with_retries(
         self, sender: CPE, free_list: List[float], index: int, nbytes: int,
         label: str, what: str,
     ) -> float:
-        """Occupy a channel under the fault plane: a transiently failed
-        broadcast costs the attempt plus backoff, then relaunches."""
+        """Occupy a row/column channel under the fault plane: each attempt
+        may take a latency spike, and a transiently failed broadcast costs
+        the attempt plus backoff, then relaunches."""
+        injector = self.injector
         attempts = 0
         issue = sender.clock
         while True:
-            completion = self._occupy(free_list, index, issue, nbytes, label)
-            if not (self.injector is not None
-                    and self.injector.transfer_fault("rma")):
+            factor = injector.latency_factor("rma") if injector else 1.0
+            start = max(issue, free_list[index])
+            completion = start + self.arch.rma_time_s(nbytes) * factor
+            free_list[index] = completion
+            if self.trace is not None:
+                self.trace.record("rma", start, completion, label)
+            if not (injector is not None and injector.transfer_fault("rma")):
                 return completion
             attempts += 1
             sender.stats["rma_retries"] += 1
@@ -127,18 +113,32 @@ class RMAEngine:
                 )
             issue = completion + self.retry.backoff(attempts - 1)
 
-    def _deliver(
+    def _broadcast(
         self,
+        manner: str,
         sender: CPE,
-        receivers: List[CPE],
         src_key: Tuple[str, int],
         dst_key: Tuple[str, int],
         size: int,
         replys: str,
         replyr: str,
-        completion: float,
+        elem_bytes: int,
         move_data: bool,
-    ) -> None:
+    ) -> float:
+        """Launch one ``manner`` ("row"/"col") broadcast on the sender's
+        row or column channel and deliver it to every CPE on that line;
+        returns the completion time."""
+        self._check_armed(sender)
+        if manner == "row":
+            channel, free_list = sender.rid, self.row_channel_free
+            receivers = list(self.mesh[sender.rid])
+        else:
+            channel, free_list = sender.cid, self.col_channel_free
+            receivers = [row[sender.cid] for row in self.mesh]
+        completion = self._occupy(
+            sender, free_list, channel, size * elem_bytes,
+            f"{manner}{channel}", f"rma_{manner}_ibcast",
+        )
         sender.spm.check_readable(src_key[0], src_key[1])
         if move_data and self.policy.checksums:
             # End-to-end integrity: the tile the DMA landed must still be
@@ -152,7 +152,6 @@ class RMAEngine:
         expected: Optional[int] = None
         if move_data and self.policy.checksums:
             expected = tile_checksum(src_tile.reshape(-1)[:size])
-        nbytes = size * _DTYPE_BYTES
         for receiver in receivers:
             dst_tile = receiver.spm.slot(dst_key[0], dst_key[1])
             if size > dst_tile.size:
@@ -185,20 +184,17 @@ class RMAEngine:
                         dst_key[0], dst_key[1], expected, size
                     )
             receiver.spm.mark_inflight(dst_key[0], dst_key[1], f"rma/{replyr}")
-            if self.injector is not None and self.injector.drops_reply("rma"):
-                receiver.stats["lost_replies"] += 1
-                receiver.lost_replies[replyr] = (dst_key, completion)
-            else:
-                receiver.reply(replyr).add(ReplyRecord(completion, dst_key))
-        if self.injector is not None and self.injector.drops_reply("rma"):
-            sender.stats["lost_replies"] += 1
-            sender.lost_replies[replys] = (None, completion)
-        else:
-            sender.reply(replys).add(ReplyRecord(completion, None))
+            receiver.post_reply(
+                replyr, ReplyRecord(completion, dst_key), self.injector, "rma"
+            )
+        sender.post_reply(
+            replys, ReplyRecord(completion, None), self.injector, "rma"
+        )
         sender.stats["rma_messages"] += 1
-        sender.stats["rma_bytes"] += nbytes
+        sender.stats["rma_bytes"] += size * elem_bytes
+        return completion
 
-    # -- the three manners (Fig. 8) ------------------------------------------
+    # -- the two manners the compiler emits (Fig. 8b) ---------------------------
 
     def row_ibcast(
         self,
@@ -208,23 +204,15 @@ class RMAEngine:
         size: int,
         replys: str,
         replyr: str,
+        *,
+        elem_bytes: int,
         move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """Broadcast the sender's SPM tile to every CPE on its mesh row."""
-        self._check_armed(sender)
-        if self.guard is not None:
-            self.guard.on_rma("row", src_key[0], dst_key[0], size)
-        receivers = list(self.mesh[sender.rid])
-        completion = self._occupy_with_retries(
-            sender, self.row_channel_free, sender.rid, size * elem_bytes,
-            f"row{sender.rid}", "rma_row_ibcast",
+        return self._broadcast(
+            "row", sender, src_key, dst_key, size, replys, replyr,
+            elem_bytes, move_data,
         )
-        self._deliver(
-            sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data,
-        )
-        return completion
 
     def col_ibcast(
         self,
@@ -234,95 +222,12 @@ class RMAEngine:
         size: int,
         replys: str,
         replyr: str,
+        *,
+        elem_bytes: int,
         move_data: bool = True,
-        elem_bytes: int = _DTYPE_BYTES,
     ) -> float:
         """Broadcast the sender's SPM tile to every CPE on its mesh column."""
-        self._check_armed(sender)
-        if self.guard is not None:
-            self.guard.on_rma("col", src_key[0], dst_key[0], size)
-        receivers = [row[sender.cid] for row in self.mesh]
-        completion = self._occupy_with_retries(
-            sender, self.col_channel_free, sender.cid, size * elem_bytes,
-            f"col{sender.cid}", "rma_col_ibcast",
+        return self._broadcast(
+            "col", sender, src_key, dst_key, size, replys, replyr,
+            elem_bytes, move_data,
         )
-        self._deliver(
-            sender, receivers, src_key, dst_key, size, replys, replyr,
-            completion, move_data,
-        )
-        return completion
-
-    def p2p(
-        self,
-        sender: CPE,
-        target: CPE,
-        src_key: Tuple[str, int],
-        dst_key: Tuple[str, int],
-        size: int,
-        replys: str,
-        replyr: str,
-        move_data: bool = True,
-    ) -> float:
-        """Point-to-point RMA (Fig. 8a).
-
-        A same-row transfer uses the row channel directly; otherwise the
-        message transits through the CPE at (sender row, target column),
-        costing a second hop on the column channel — matching the
-        transit-point behaviour the paper describes.
-        """
-        self._check_armed(sender)
-        nbytes = size * _DTYPE_BYTES
-        if target.rid == sender.rid:
-            completion = self._occupy(
-                self.row_channel_free, sender.rid, sender.clock, nbytes,
-                f"row{sender.rid}",
-            )
-        else:
-            hop1 = self._occupy(
-                self.row_channel_free, sender.rid, sender.clock, nbytes,
-                f"row{sender.rid}",
-            )
-            completion = self._occupy(
-                self.col_channel_free, target.cid, hop1, nbytes,
-                f"col{target.cid}",
-            )
-        self._deliver(
-            sender, [target], src_key, dst_key, size, replys, replyr,
-            completion, move_data,
-        )
-        return completion
-
-    def all_bcast(
-        self,
-        sender: CPE,
-        src_key: Tuple[str, int],
-        dst_key: Tuple[str, int],
-        size: int,
-        replys: str,
-        replyr: str,
-        move_data: bool = True,
-    ) -> float:
-        """Broadcast to every CPE (Fig. 8c): a row broadcast followed by a
-        column broadcast from each CPE of the sender's row."""
-        self._check_armed(sender)
-        row_done = self.row_ibcast(
-            sender, src_key, dst_key, size, replys, replyr, move_data
-        )
-        completion = row_done
-        for cpe in self.mesh[sender.rid]:
-            # The transit hop re-sends the freshly received tile: it is
-            # available at row_done, so un-poison it and inherit arming.
-            cpe.spm.clear_inflight(dst_key[0], dst_key[1])
-            cpe.rma_armed = True
-        for cpe in list(self.mesh[sender.rid]):
-            done = self._occupy(
-                self.col_channel_free, cpe.cid, row_done, size * _DTYPE_BYTES,
-                f"col{cpe.cid}",
-            )
-            completion = max(completion, done)
-            receivers = [row[cpe.cid] for row in self.mesh if row[cpe.cid] is not cpe]
-            self._deliver(
-                cpe, receivers, dst_key, dst_key, size, replys, replyr,
-                done, move_data,
-            )
-        return completion

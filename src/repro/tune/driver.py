@@ -104,7 +104,6 @@ class Tuner:
         arch: ArchSpec = SW26010PRO,
         service: Optional[object] = None,
         store: Optional[TuningRecordStore] = None,
-        guarded: bool = False,
     ) -> None:
         from repro.service import get_default_service
 
@@ -113,9 +112,7 @@ class Tuner:
         if store is None:
             store = getattr(self.service, "tuning_store", None)
         self.store = store if store is not None else TuningRecordStore(None)
-        self.simulator = PerformanceSimulator(
-            arch, service=self.service, guarded=guarded
-        )
+        self.simulator = PerformanceSimulator(arch, service=self.service)
 
     # -- measurement -------------------------------------------------------
 

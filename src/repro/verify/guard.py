@@ -1,10 +1,9 @@
 """Guarded execution: replaying the static certificate at runtime.
 
-A :class:`CertificateGuard` attaches to the simulated cluster's DMA/RMA
-engines and to SPM allocation.  Every observed event — a ``dma_iget``/
-``dma_iput`` footprint, an RMA broadcast, the per-CPE buffer allocation
-— is checked against the certificate the verifier issued at admission
-time.  Any divergence means the static analysis and the executed
+A :class:`CertificateGuard` observes the executor: every event it
+reports — a ``dma_iget``/``dma_iput`` footprint, an RMA broadcast, the
+per-CPE buffer allocation — is checked against the certificate the
+verifier issued at admission time.  Any divergence means the static analysis and the executed
 program disagree about the kernel's data movement, which is exactly the
 class of bug admission control exists to exclude; the guard fails
 loudly with :class:`CertificateDivergenceError` instead of letting the
@@ -49,7 +48,7 @@ class CertificateGuard:
             )
         return cls(report.certificate, strict=strict)
 
-    # -- event hooks (called by the engines / executor) ---------------------
+    # -- event hooks (called by the executor) -------------------------------
 
     def on_dma(self, direction: str, buffer: str, size: int, length: int) -> None:
         self.events += 1

@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from repro.errors import UnknownStatementError
 from repro.poly.astnodes import ArrayRef, BinExpr, CpeProgram
 from repro.runtime.walker import CpeWalker
-from repro.sunway.athread import is_rma_counter
+from repro.sunway.cpe import is_rma_counter
 
 #: Resume-count ceiling: far above any real schedule (a chunk run is a
 #: few thousand statements per CPE) but bounds pathological input.
@@ -93,9 +93,6 @@ class ScheduleMachine(CpeWalker):
         params: Dict[str, int],
     ) -> None:
         super().__init__()
-        #: the machine is its own runtime: the reply-counter and barrier
-        #: interface of AthreadRuntime, over the ledger below.
-        self.runtime = self
         self.program = program
         self.mesh = mesh
         self.params = dict(params)
@@ -168,7 +165,7 @@ class ScheduleMachine(CpeWalker):
         )
         raise _Halt
 
-    # -- reply counters and barrier (the runtime interface) ----------------
+    # -- reply counters and barrier (the walker's runtime interface) -------
 
     def reply_reset(self, state: _CpeState, key: str) -> None:
         self._flag_unconsumed(state, key, at="reply_reset")
@@ -180,7 +177,7 @@ class ScheduleMachine(CpeWalker):
         return state.counters.get(key, 0) >= value
 
     def finish_wait(self, state: _CpeState, key: str, value: int) -> None:
-        """Mirror of ``AthreadRuntime.finish_wait``: consume the first
+        """Mirror of ``Executor.finish_wait``: consume the first
         ``value`` records, clearing their in-flight marks; a wait on an
         RMA counter disarms the CPE (a fresh synch() is required before
         the next broadcast)."""

@@ -80,7 +80,7 @@ def replay_schedule(cpe_program, plan, spec) -> MachineResult:
 def build_certificate(plan, cpe_program, dma_specs, rma_specs) -> Dict[str, object]:
     """The shape-invariant movement summary guarded execution replays.
 
-    Keyed by what the engines observe at runtime — transfer direction
+    Keyed by what the executor issues at runtime — transfer direction
     and buffer names — with the per-message element counts the static
     analysis admitted."""
     return {

@@ -71,3 +71,17 @@ def test_sgemm_with_fusion(rng):
     C, _ = run_gemm(program, A, B, None, beta=0.0)
     reference = np.maximum(A.astype(np.float64) @ B, 0.0)
     assert np.allclose(C, reference, atol=1e-4)
+
+
+def test_sgemm_moves_half_the_bytes(rng):
+    """Both transfer planes count 4-byte elements for SGEMM: every DMA
+    and every RMA broadcast carries half the bytes of the DGEMM run."""
+    d_prog = GemmCompiler(TOY_ARCH, CompilerOptions.full()).compile(GemmSpec())
+    s_prog = sgemm_program()
+    A = rng.standard_normal((32, 32))
+    B = rng.standard_normal((32, 32))
+    _, d_rep = run_gemm(d_prog, A, B, np.zeros((32, 32)), beta=0.0)
+    _, s_rep = run_gemm(s_prog, A, B, np.zeros((32, 32)), beta=0.0)
+    assert s_rep.stats["rma_messages"] == d_rep.stats["rma_messages"] > 0
+    assert s_rep.stats["dma_bytes"] * 2 == d_rep.stats["dma_bytes"]
+    assert s_rep.stats["rma_bytes"] * 2 == d_rep.stats["rma_bytes"]

@@ -205,3 +205,64 @@ def test_prop_random_shapes_and_scalars(toy_full_program, M, N, K, alpha, beta):
     C0 = rng.standard_normal((M, N))
     C, _ = run_gemm(toy_full_program, A, B, C0.copy(), alpha=alpha, beta=beta)
     assert np.allclose(C, reference_gemm(A, B, C0, alpha, beta), atol=1e-10)
+
+
+FOLD_CASES = {
+    "baseline": (GemmSpec(), CompilerOptions.baseline()),
+    "asm": (GemmSpec(), CompilerOptions.with_asm()),
+    "rma": (GemmSpec(), CompilerOptions.with_rma()),
+    "full": (GemmSpec(), CompilerOptions.full()),
+    "epilogue": (
+        GemmSpec(epilogue_func="sigmoid"),
+        CompilerOptions.full().with_(fusion="epilogue", epilogue_func="sigmoid"),
+    ),
+    "prologue": (
+        GemmSpec(prologue_func="quant"),
+        CompilerOptions.full().with_(fusion="prologue"),
+    ),
+    "batched": (
+        GemmSpec(batch_param="BS"), CompilerOptions.full().with_(batch=True)
+    ),
+    "float32": (GemmSpec(dtype="float32"), CompilerOptions.full()),
+    "trans_a": (GemmSpec(trans_a=True), CompilerOptions.full()),
+}
+
+
+@pytest.mark.parametrize("case", sorted(FOLD_CASES))
+def test_timing_only_run_matches_functional_run_under_guard(case):
+    """Timing-only and functional execution share every clock, stat and
+    guard observation: only the data copies differ."""
+    from repro.runtime.executor import Executor
+    from repro.sunway.mesh import Cluster
+    from repro.verify import CertificateGuard
+
+    spec, options = FOLD_CASES[case]
+    program = GemmCompiler(TOY_ARCH, options).compile(spec)
+    M, N, K = program.padded_shape(24, 16, 16)
+    lead = (2,) if spec.is_batched else ()
+    dtype = np.float32 if spec.dtype == "float32" else np.float64
+    params = {"M": M, "N": N, "K": K}
+    if spec.is_batched:
+        params["BS"] = 2
+    rng = np.random.default_rng(7)
+    outcomes = []
+    for move_data in (False, True):
+        cluster = Cluster(TOY_ARCH)
+        a_shape = (K, M) if spec.trans_a else (M, K)
+        cluster.memory.alloc("A", lead + a_shape, dtype=dtype)
+        cluster.memory.alloc("B", lead + (K, N), dtype=dtype)
+        cluster.memory.alloc("C", lead + (M, N), dtype=dtype)
+        if move_data:
+            for name in ("A", "B"):
+                array = cluster.memory[name]
+                array[...] = rng.standard_normal(array.shape)
+        guard = CertificateGuard.from_program(program)
+        executor = Executor(program, cluster, move_data=move_data, guard=guard)
+        report = executor.run(params)
+        outcomes.append((report.elapsed_seconds, report.stats, guard.events))
+        assert not guard.divergences
+    timing, functional = outcomes
+    assert timing == functional
+    # The guard sees each CPE's SPM allocation and every issued transfer once.
+    _, stats, events = timing
+    assert events == 4 + stats["dma_messages"] + stats["rma_messages"]

@@ -30,7 +30,7 @@ def test_iget_strided_tile():
     offset = 2 * 32 + 4  # start at row 2, column 4
     engine.iget(
         cpe, dst, ("tile", 0), matrix, matrix.size, offset,
-        size=32, length=8, strip=24, reply_name="r",
+        size=32, length=8, strip=24, reply_name="r", elem_bytes=8,
     )
     expected = matrix[2:6, 4:12]
     assert (dst == expected).all()
@@ -45,7 +45,7 @@ def test_iput_roundtrip():
     cpe.spm.clear_inflight("tile", 0)
     engine.iput(
         cpe, matrix, matrix.size, 5 * 32 + 8, tile, ("tile", 0),
-        size=32, length=8, strip=24, reply_name="w",
+        size=32, length=8, strip=24, reply_name="w", elem_bytes=8,
     )
     assert (matrix[5:9, 8:16] == tile).all()
     assert matrix.sum() == tile.sum()
@@ -58,7 +58,7 @@ def test_reply_counter_increments():
     dst = cpe.spm.slot("tile", 0)
     for expected in (1, 2):
         engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0,
-                    32, 8, 24, "r")
+                    32, 8, 24, "r", elem_bytes=8)
         assert cpe.reply("r").value == expected
 
 
@@ -67,7 +67,8 @@ def test_inflight_until_wait():
     cpe = make_cpe()
     matrix = np.zeros((16, 32))
     dst = cpe.spm.slot("tile", 0)
-    engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0, 32, 8, 24, "r")
+    engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0, 32, 8, 24, "r",
+                elem_bytes=8)
     with pytest.raises(SynchronizationError):
         cpe.spm.check_readable("tile", 0)
 
@@ -80,7 +81,7 @@ def test_iput_requires_ready_source():
     cpe.spm.mark_inflight("tile", 0, "pending get")
     with pytest.raises(SynchronizationError):
         engine.iput(cpe, matrix, matrix.size, 0, tile, ("tile", 0),
-                    32, 8, 24, "w")
+                    32, 8, 24, "w", elem_bytes=8)
 
 
 @pytest.mark.parametrize(
@@ -100,7 +101,7 @@ def test_argument_validation(size, length, strip):
     dst = cpe.spm.slot("tile", 0)
     with pytest.raises(InvalidDMAError):
         engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size, 0,
-                    size, length, strip, "r")
+                    size, length, strip, "r", elem_bytes=8)
 
 
 def test_out_of_bounds_rejected():
@@ -110,7 +111,7 @@ def test_out_of_bounds_rejected():
     dst = cpe.spm.slot("tile", 0)
     with pytest.raises(InvalidDMAError):
         engine.iget(cpe, dst, ("tile", 0), matrix, matrix.size,
-                    offset=8, size=32, length=8, strip=24, reply_name="r")
+                    offset=8, size=32, length=8, strip=24, reply_name="r", elem_bytes=8)
 
 
 def test_channel_serialises_messages():
@@ -121,9 +122,9 @@ def test_channel_serialises_messages():
     cpe_b.spm.alloc("tile", (4, 8))
     matrix = np.zeros((16, 32))
     t1 = engine.iget(cpe_a, cpe_a.spm.slot("tile", 0), ("tile", 0),
-                     matrix, matrix.size, 0, 32, 8, 24, "r")
+                     matrix, matrix.size, 0, 32, 8, 24, "r", elem_bytes=8)
     t2 = engine.iget(cpe_b, cpe_b.spm.slot("tile", 0), ("tile", 0),
-                     matrix, matrix.size, 0, 32, 8, 24, "r")
+                     matrix, matrix.size, 0, 32, 8, 24, "r", elem_bytes=8)
     assert t2 > t1
     # len = 8 doubles = 64 B: shorter than the DDR burst, so the message
     # pays the stride penalty.
@@ -137,7 +138,7 @@ def test_timing_only_mode_skips_data():
     matrix = np.arange(16.0 * 32).reshape(16, 32)
     dst = cpe.spm.slot("tile", 0)
     engine.iget(cpe, None, ("tile", 0), None, matrix.size, 0, 32, 8, 24,
-                "r", move_data=False)
+                "r", move_data=False, elem_bytes=8)
     assert (dst == 0).all()
     assert cpe.reply("r").value == 1
 
@@ -161,6 +162,6 @@ def test_prop_strided_gather_matches_slicing(rows, cols, row0, col0):
     engine.iget(
         cpe, dst, ("t", 0), matrix, matrix.size,
         offset=row0 * 16 + col0,
-        size=rows * cols, length=cols, strip=16 - cols, reply_name="r",
+        size=rows * cols, length=cols, strip=16 - cols, reply_name="r", elem_bytes=8,
     )
     assert (dst == matrix[row0 : row0 + rows, col0 : col0 + cols]).all()

@@ -128,7 +128,7 @@ def test_accepted_transfers_move_exactly_the_footprint(
     src = np.arange(float(SRC_ELEMS))
     engine.iget(
         cpe, dst, ("tile", 0), src, src.size, offset,
-        size=size, length=length, strip=strip, reply_name="r",
+        size=size, length=length, strip=strip, reply_name="r", elem_bytes=8,
     )
     starts = offset + np.arange(rows) * (length + strip)
     expected = (starts[:, None] + np.arange(length)[None, :]).ravel()

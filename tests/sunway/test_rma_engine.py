@@ -1,6 +1,5 @@
-"""RMA engine: the three communication manners of Fig. 8."""
+"""RMA engine: the row and column broadcasts of Fig. 8."""
 
-import numpy as np
 import pytest
 
 from repro.errors import InvalidRMAError, SynchronizationError
@@ -21,7 +20,7 @@ def test_row_broadcast_reaches_whole_row():
     cluster = armed_cluster()
     sender = cluster.cpe(0, 1)
     sender.spm.slot("src", 0)[...] = 7.0
-    cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr")
+    cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr", elem_bytes=8)
     for cid in range(TOY_ARCH.mesh_cols):
         receiver = cluster.cpe(0, cid)
         receiver.spm.clear_inflight("dst", 0)
@@ -36,7 +35,7 @@ def test_col_broadcast_reaches_whole_column():
     cluster = armed_cluster()
     sender = cluster.cpe(1, 0)
     sender.spm.slot("src", 0)[...] = 3.0
-    cluster.rma.col_ibcast(sender, ("src", 0), ("dst", 0), 16, "cs", "cr")
+    cluster.rma.col_ibcast(sender, ("src", 0), ("dst", 0), 16, "cs", "cr", elem_bytes=8)
     for rid in range(TOY_ARCH.mesh_rows):
         receiver = cluster.cpe(rid, 0)
         receiver.spm.clear_inflight("dst", 0)
@@ -46,7 +45,7 @@ def test_col_broadcast_reaches_whole_column():
 def test_receivers_poisoned_until_wait():
     cluster = armed_cluster()
     sender = cluster.cpe(0, 0)
-    cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr")
+    cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr", elem_bytes=8)
     with pytest.raises(SynchronizationError):
         cluster.cpe(0, 1).spm.check_readable("dst", 0)
 
@@ -58,7 +57,8 @@ def test_rma_requires_synch():
         cpe.spm.alloc("dst", (4, 4))
     sender = cluster.cpe(0, 0)
     with pytest.raises(SynchronizationError, match="synch"):
-        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr")
+        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr",
+                               elem_bytes=8)
 
 
 def test_rma_rejected_on_sw26010():
@@ -68,7 +68,8 @@ def test_rma_rejected_on_sw26010():
     sender.spm.alloc("dst", (4, 4))
     sender.rma_armed = True
     with pytest.raises(InvalidRMAError, match="SW26010"):
-        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr")
+        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr",
+                               elem_bytes=8)
 
 
 def test_sender_source_must_be_ready():
@@ -76,44 +77,19 @@ def test_sender_source_must_be_ready():
     sender = cluster.cpe(0, 0)
     sender.spm.mark_inflight("src", 0, "dma pending")
     with pytest.raises(SynchronizationError):
-        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr")
+        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 16, "rs", "rr",
+                               elem_bytes=8)
 
 
 def test_size_validation():
     cluster = armed_cluster()
     sender = cluster.cpe(0, 0)
     with pytest.raises(InvalidRMAError):
-        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 999, "rs", "rr")
+        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 999, "rs", "rr",
+                               elem_bytes=8)
     with pytest.raises(InvalidRMAError):
-        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 0, "rs", "rr")
-
-
-def test_p2p_same_row_and_transit():
-    cluster = armed_cluster()
-    sender = cluster.cpe(0, 0)
-    sender.spm.slot("src", 0)[...] = 5.0
-    same_row = cluster.cpe(0, 1)
-    t_same = cluster.rma.p2p(sender, same_row, ("src", 0), ("dst", 0), 16, "s", "r")
-    same_row.spm.clear_inflight("dst", 0)
-    assert (same_row.spm.slot("dst", 0) == 5.0).all()
-
-    sender.rma_armed = True
-    other = cluster.cpe(1, 1)
-    t_cross = cluster.rma.p2p(sender, other, ("src", 0), ("dst", 0), 16, "s", "r")
-    other.spm.clear_inflight("dst", 0)
-    assert (other.spm.slot("dst", 0) == 5.0).all()
-    # The transit hop makes the cross-mesh path strictly slower.
-    assert t_cross > t_same
-
-
-def test_all_broadcast_reaches_everyone():
-    cluster = armed_cluster()
-    sender = cluster.cpe(0, 0)
-    sender.spm.slot("src", 0)[...] = 9.0
-    cluster.rma.all_bcast(sender, ("src", 0), ("dst", 0), 16, "s", "r")
-    for cpe in cluster.all_cpes():
-        cpe.spm.clear_inflight("dst", 0)
-        assert (cpe.spm.slot("dst", 0) == 9.0).all()
+        cluster.rma.row_ibcast(sender, ("src", 0), ("dst", 0), 0, "rs", "rr",
+                               elem_bytes=8)
 
 
 def test_row_and_col_channels_are_independent():
@@ -122,8 +98,10 @@ def test_row_and_col_channels_are_independent():
     cluster = armed_cluster()
     row_sender = cluster.cpe(0, 0)
     col_sender = cluster.cpe(0, 1)
-    t_row = cluster.rma.row_ibcast(row_sender, ("src", 0), ("dst", 0), 16, "a", "b")
-    t_col = cluster.rma.col_ibcast(col_sender, ("src", 0), ("dst", 0), 16, "c", "d")
+    t_row = cluster.rma.row_ibcast(row_sender, ("src", 0), ("dst", 0), 16, "a", "b",
+                                   elem_bytes=8)
+    t_col = cluster.rma.col_ibcast(col_sender, ("src", 0), ("dst", 0), 16, "c", "d",
+                                   elem_bytes=8)
     # Both finish after one broadcast latency, not two.
     assert t_row == pytest.approx(TOY_ARCH.rma_time_s(16 * 8))
     assert t_col == pytest.approx(TOY_ARCH.rma_time_s(16 * 8))
